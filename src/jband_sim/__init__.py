@@ -51,6 +51,6 @@ from .propagator import (
     transfer_probability,
     window_survival,
 )
-from .specfun import BesselEval, bessel_j, bessel_j_row
+from .specfun import bessel_j, bessel_j_row
 
 __version__ = "0.1.0"

@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .core import ModelParams, validate_params
-from .experiments import DEFAULT_BASE, EXPERIMENTS, run_experiment_outputs, sweep_grid
+from .experiments import DEFAULT_BASE, EXPERIMENTS, model_params, run_experiment_outputs, sweep_grid
 from .measures import (
     average_concurrence,
     extended_state_entropy,
@@ -42,11 +41,13 @@ from .propagator import (
     exciton_energy,
     occupation_profile,
     transfer_probability,
-    window_survival,
 )
 from .specfun import bessel_j
 
 EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO = 0, 1, 2, 3
+
+#: ``eval`` keys that count sites, orders or excitations.
+_INT_KEYS = ("n", "N", "M")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,10 +57,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _params_from(kw: dict) -> ModelParams:
-    merged = {k: kw.get(k, DEFAULT_BASE[k]) for k in ("a", "b", "c", "t_k", "N")}
-    return validate_params(ModelParams(a=merged["a"], b=merged["b"], c=merged["c"],
-                                       t_k=merged["t_k"], N=int(merged["N"])))
+def _profile(kw: dict):
+    return occupation_profile(kw["t"], model_params(kw))
 
 
 def _susceptibility_from(kw: dict) -> SusceptibilityParams:
@@ -71,16 +70,16 @@ def _susceptibility_from(kw: dict) -> SusceptibilityParams:
 # measure name -> (required keys, evaluator over the parsed key/value dict)
 EVAL_MEASURES = {
     "bessel": (("n", "x"), lambda kw: bessel_j(int(kw["n"]), kw["x"])),
-    "transfer": (("n", "t"), lambda kw: transfer_probability(int(kw["n"]), kw["t"], _params_from(kw))),
-    "survival": (("t",), lambda kw: window_survival(kw["t"], _params_from(kw))),
-    "entropy": (("t",), lambda kw: entropy_report(occupation_profile(kw["t"], _params_from(kw))).total),
-    "entropy_avg": (("t",), lambda kw: entropy_report(occupation_profile(kw["t"], _params_from(kw))).average),
+    "transfer": (("n", "t"), lambda kw: transfer_probability(int(kw["n"]), kw["t"], model_params(kw))),
+    "survival": (("t",), lambda kw: _profile(kw).u.sum()),
+    "entropy": (("t",), lambda kw: entropy_report(_profile(kw)).total),
+    "entropy_avg": (("t",), lambda kw: entropy_report(_profile(kw)).average),
     "extended_ref": ((), lambda kw: extended_state_entropy(int(kw.get("N", DEFAULT_BASE["N"])))),
-    "ipr": (("t",), lambda kw: ipr(occupation_profile(kw["t"], _params_from(kw)))),
+    "ipr": (("t",), lambda kw: ipr(_profile(kw))),
     "site_entropy": (("u",), lambda kw: site_entropy(kw["u"])),
     "concurrence": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], int(kw["N"])).avg_concurrence),
     "concurrence_scaled": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], int(kw["N"])).scaled),
-    "spano": (("b",), lambda kw: spano_coherence_size(_params_from(kw))),
+    "spano": (("b",), lambda kw: spano_coherence_size(model_params(kw))),
     "resonance": ((), lambda kw: resonance_coherence_size(kw.get("c", DEFAULT_BASE["c"]))),
     "lambda_max": (("N", "M"), lambda kw: lambda_max(SymmetricState(int(kw["N"]), int(kw["M"])))),
     "geometric_entropy": (("N", "M"), lambda kw: geometric_entropy(SymmetricState(int(kw["N"]), int(kw["M"])))),
@@ -175,6 +174,8 @@ def _cmd_eval(args) -> int:
             kw[key] = float(raw)
         except ValueError:
             raise ConfigError(f"invalid number '{raw}' for key '{key}'") from None
+        if key in _INT_KEYS and not kw[key].is_integer():
+            raise ConfigError(f"key '{key}' needs an integer, got '{raw}'")
     missing = [k for k in required if k not in kw]
     if missing:
         raise ConfigError(f"measure '{args.measure}' needs: {', '.join(missing)}")

@@ -76,38 +76,38 @@ _N_GRID = SweepAxis("N", 10, 300, 10)
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
     "fig1a": ExperimentDef(
-        "fig1a", "entropy_vs_t",
+        "fig1a", "entropy",
         "site entropy versus time for chain lengths N = 200, 100, 50 (a = b = 0, c = 30)",
         {"a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0},
         ({"N": 200}, {"N": 100}, {"N": 50}), _T_GRID),
     "fig1b": ExperimentDef(
-        "fig1b", "entropy_vs_N",
+        "fig1b", "entropy",
         "site entropy versus chain length at t = 2, 5, 9 (a = b = 0, c = 30)",
         {"a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0},
         ({"t": 2.0}, {"t": 5.0}, {"t": 9.0}), _N_GRID),
     "fig1c": ExperimentDef(
-        "fig1c", "entropy_vs_N",
+        "fig1c", "entropy",
         "site entropy versus chain length at c = 10, 20, 40 (a = b = 0, t = 2)",
         {"a": 0.0, "b": 0.0, "t_k": 1.0, "t": 2.0},
         ({"c": 10.0}, {"c": 20.0}, {"c": 40.0}), _N_GRID),
     "fig1d": ExperimentDef(
-        "fig1d", "entropy_vs_N",
+        "fig1d", "entropy",
         "site entropy versus chain length at b = 0, 0.3, 0.5 plus the extended-state "
         "reference (a = 0, c = 30, t = 6)",
         {"a": 0.0, "c": 30.0, "t_k": 1.0, "t": 6.0},
         ({"b": 0.0}, {"b": 0.3}, {"b": 0.5}), _N_GRID, extended_ref=True),
     "fig2a": ExperimentDef(
-        "fig2a", "entropy_vs_t",
+        "fig2a", "entropy",
         "site entropy versus time at a = 0, 0.3, 0.7, 1.5 (N = 150, b = 0, c = 10)",
         {"b": 0.0, "c": 10.0, "t_k": 1.0, "N": 150},
         ({"a": 0.0}, {"a": 0.3}, {"a": 0.7}, {"a": 1.5}), _T_GRID),
     "fig2b": ExperimentDef(
-        "fig2b", "entropy_vs_t",
+        "fig2b", "entropy",
         "site entropy versus time at b = 0, 0.5, 1 (N = 100, a = 0, c = 20)",
         {"a": 0.0, "c": 20.0, "t_k": 1.0, "N": 100},
         ({"b": 0.0}, {"b": 0.5}, {"b": 1.0}), _T_GRID),
     "fig2c": ExperimentDef(
-        "fig2c", "entropy_vs_t",
+        "fig2c", "entropy",
         "site entropy versus time at c = 40, 20, 5 (N = 200, a = 0.5, b = 0.3)",
         {"a": 0.5, "b": 0.3, "t_k": 1.0, "N": 200},
         ({"c": 40.0}, {"c": 20.0}, {"c": 5.0}), _T_GRID),
@@ -173,19 +173,10 @@ def sweep_grid(axis: SweepAxis) -> list[float]:
     return [axis.start + i * axis.step for i in range(count)]
 
 
-def _int_grid(axis: SweepAxis) -> list[int]:
-    return [int(round(v)) for v in sweep_grid(axis)]
-
-
-_CUSTOM_KINDS = {
-    "t": "entropy_vs_t",
-    "N": "entropy_vs_N",
-    "a": "entropy_vs_param",
-    "b": "entropy_vs_param",
-    "c": "entropy_vs_param",
-    "t_k": "entropy_vs_param",
-    "M": "geometric_vs_M",
-}
+def _grid(axis: SweepAxis) -> list:
+    """The sweep grid, rounded to integers for the integer variables N and M."""
+    grid = sweep_grid(axis)
+    return [int(round(v)) for v in grid] if axis.variable in ("N", "M") else grid
 
 
 def resolve(spec: ExperimentSpec) -> RunPlan:
@@ -201,16 +192,14 @@ def resolve(spec: ExperimentSpec) -> RunPlan:
 
     sweep = spec.sweep if spec.sweep is not None else definition.sweep
     if definition.kind == "custom":
-        kind = _CUSTOM_KINDS.get(sweep.variable)
-        if kind is None:
-            raise ValueError(f"unknown sweep variable '{sweep.variable}'")
+        kind = "geometric_vs_M" if sweep.variable == "M" else "entropy"
     else:
         kind = definition.kind
         if sweep.variable != definition.sweep.variable:
             raise ValueError(
                 f"experiment '{spec.name}' sweeps '{definition.sweep.variable}', "
                 f"not '{sweep.variable}'")
-    sweep_grid(sweep)  # validates the axis
+    first = _grid(sweep)[0]  # validates the axis
 
     if sweep.variable in overrides:
         raise ValueError(
@@ -229,101 +218,64 @@ def resolve(spec: ExperimentSpec) -> RunPlan:
         if merged not in curves:
             curves.append(merged)
 
-    plan = RunPlan(name=spec.name, kind=kind, base=base, curves=tuple(curves),
+    t = base.get("t")
+    if t is not None and (not math.isfinite(float(t)) or float(t) < 0):
+        raise ValueError("t must be finite and >= 0")
+    if kind in ("entropy", "concurrence_vs_N"):
+        for curve in curves:
+            model_params({**base, **curve, sweep.variable: first})
+
+    return RunPlan(name=spec.name, kind=kind, base=base, curves=tuple(curves),
                    sweep=sweep, extended_ref=definition.extended_ref)
-    _validate_plan(plan)
-    return plan
 
 
-def _model_params(values: Mapping[str, float]) -> ModelParams:
+def model_params(values: Mapping[str, float]) -> ModelParams:
+    """Validated model parameters from ``values``; ``DEFAULT_BASE`` fills the gaps.
+
+    A non-integral ``N`` is rejected, not truncated.
+    """
     merged = {k: values.get(k, DEFAULT_BASE[k]) for k in ("a", "b", "c", "t_k", "N")}
+    if not float(merged["N"]).is_integer():
+        raise ValueError("N must be an integer")
     return validate_params(ModelParams(a=float(merged["a"]), b=float(merged["b"]),
                                        c=float(merged["c"]), t_k=float(merged["t_k"]),
                                        N=int(merged["N"])))
 
 
-def _validate_plan(plan: RunPlan) -> None:
-    t = plan.base.get("t")
-    if t is not None and (not math.isfinite(float(t)) or float(t) < 0):
-        raise ValueError("t must be finite and >= 0")
-    if plan.kind in ("entropy_vs_t", "entropy_vs_param", "concurrence_vs_N"):
-        for curve in plan.curves:
-            merged = {**plan.base, **curve}
-            if plan.kind == "concurrence_vs_N":
-                merged["N"] = _int_grid(plan.sweep)[0]
-            _model_params(merged)
-    elif plan.kind == "entropy_vs_N":
-        first = _int_grid(plan.sweep)[0]
-        for curve in plan.curves:
-            _model_params({**plan.base, **curve, "N": first})
-
-
-def _entropy_tables(x_name: str, grid: list, labels: list[str],
-                    evaluate: Callable[[float, int], object],
-                    extended: bool = False) -> dict[str, CsvTable]:
+def _build_entropy(plan: RunPlan) -> dict[str, CsvTable]:
+    var = plan.sweep.variable
     total_rows, avg_rows = [], []
-    for x in grid:
+    for x in _grid(plan.sweep):
         totals, avgs = [float(x)], [float(x)]
-        for i in range(len(labels)):
-            report = evaluate(x, i)
+        for curve in plan.curves:
+            merged = {**plan.base, **curve, var: x}
+            report = entropy_report(occupation_profile(merged["t"], model_params(merged)))
             totals.append(report.total)
             avgs.append(report.average)
-        if extended:
-            n = int(x)
-            per_site = extended_state_entropy(n)
-            totals.append(n * per_site)
+        if plan.extended_ref:
+            per_site = extended_state_entropy(x)
+            totals.append(x * per_site)
             avgs.append(per_site)
         total_rows.append(tuple(totals))
         avg_rows.append(tuple(avgs))
+    labels = [_curve_label(curve) for curve in plan.curves]
     names = [_column("S", lab) for lab in labels]
     avg_names = [_column("S_avg", lab) for lab in labels]
-    if extended:
+    if plan.extended_ref:
         names.append("S_ext")
         avg_names.append("S_avg_ext")
     return {
-        "": CsvTable(tuple([x_name] + names), tuple(total_rows)),
-        "avg": CsvTable(tuple([x_name] + avg_names), tuple(avg_rows)),
+        "": CsvTable(tuple([var] + names), tuple(total_rows)),
+        "avg": CsvTable(tuple([var] + avg_names), tuple(avg_rows)),
     }
 
 
-def _build_entropy_vs_t(plan: RunPlan) -> dict[str, CsvTable]:
-    params = [_model_params({**plan.base, **curve}) for curve in plan.curves]
-    labels = [_curve_label(curve) for curve in plan.curves]
-
-    def evaluate(t, i):
-        return entropy_report(occupation_profile(t, params[i]))
-
-    return _entropy_tables("t", sweep_grid(plan.sweep), labels, evaluate)
-
-
-def _build_entropy_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
-    labels = [_curve_label(curve) for curve in plan.curves]
-
-    def evaluate(N, i):
-        merged = {**plan.base, **plan.curves[i], "N": int(N)}
-        return entropy_report(occupation_profile(float(merged["t"]), _model_params(merged)))
-
-    return _entropy_tables("N", _int_grid(plan.sweep), labels, evaluate,
-                           extended=plan.extended_ref)
-
-
-def _build_entropy_vs_param(plan: RunPlan) -> dict[str, CsvTable]:
-    var = plan.sweep.variable
-    labels = [_curve_label(curve) for curve in plan.curves]
-
-    def evaluate(value, i):
-        merged = {**plan.base, **plan.curves[i], var: float(value)}
-        return entropy_report(occupation_profile(float(merged["t"]), _model_params(merged)))
-
-    return _entropy_tables(var, sweep_grid(plan.sweep), labels, evaluate)
-
-
 def _build_concurrence_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
-    grid = _int_grid(plan.sweep)
+    grid = _grid(plan.sweep)
     labels = [_curve_label(curve) for curve in plan.curves]
     columns = []
     for curve in plan.curves:
-        p = _model_params({**plan.base, **curve, "N": grid[0]})
+        p = model_params({**plan.base, **curve, "N": grid[0]})
         columns.append([value for _, value in concurrence_vs_size_curve(p, grid)])
     header = tuple(["N"] + [_column("C", lab) for lab in labels])
     rows = tuple(tuple([float(n)] + [col[i] for col in columns])
@@ -333,7 +285,7 @@ def _build_concurrence_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
 
 def _build_zeta_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
     rows = []
-    for N in _int_grid(plan.sweep):
+    for N in _grid(plan.sweep):
         z1, z2 = zeta_ratios(N)
         rows.append((float(N), z1, z2))
     return {"": CsvTable(("N", "zeta1", "zeta2"), tuple(rows))}
@@ -343,7 +295,7 @@ def _build_chi3_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
     sp = SusceptibilityParams(mu=float(plan.base["mu"]), gamma=float(plan.base["gamma"]),
                               delta_e=float(plan.base["delta_e"]), omega=float(plan.base["omega"]))
     rows = []
-    for N in _int_grid(plan.sweep):
+    for N in _grid(plan.sweep):
         reduced = (geometric_entropy(SymmetricState(N, 1))
                    * geometric_entropy(SymmetricState(N, 2)))
         rows.append((float(N), reduced, chi3_magnitude(N, sp) / N))
@@ -353,15 +305,13 @@ def _build_chi3_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
 def _build_geometric_vs_M(plan: RunPlan) -> dict[str, CsvTable]:
     N = int(plan.base.get("N", DEFAULT_BASE["N"]))
     rows = []
-    for M in _int_grid(plan.sweep):
+    for M in _grid(plan.sweep):
         rows.append((float(M), geometric_entropy(SymmetricState(N, M))))
     return {"": CsvTable(("M", "E_geom"), tuple(rows))}
 
 
 _BUILDERS: dict[str, Callable[[RunPlan], dict[str, CsvTable]]] = {
-    "entropy_vs_t": _build_entropy_vs_t,
-    "entropy_vs_N": _build_entropy_vs_N,
-    "entropy_vs_param": _build_entropy_vs_param,
+    "entropy": _build_entropy,
     "concurrence_vs_N": _build_concurrence_vs_N,
     "zeta_vs_N": _build_zeta_vs_N,
     "chi3_vs_N": _build_chi3_vs_N,

@@ -16,6 +16,8 @@ from .core import AggregateDensityMatrix, ModelParams, OccupationProfile, valida
 
 #: Prefactor of the empirical coherence-size relation.
 SPANO_COEFFICIENT = 2.16
+# Relative round-off allowed when comparing density-matrix entries with the diagonal.
+_COHERENCE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,19 @@ def average_concurrence(zeta: float, N: int) -> ConcurrenceReport:
 
 
 def coherence_size(rho: AggregateDensityMatrix) -> float:
-    """Coherence size (sum |rho_mn|)^2 / (N sum |rho_mn|^2); lies in [1, N]."""
+    """Coherence size (sum |rho_mn|)^2 / (N sum |rho_mn|^2); lies in [1, N].
+
+    The formula assumes a translation-invariant ensemble: a uniform diagonal
+    d with every |rho_mn| <= d.  Other matrices are rejected, because with a
+    non-uniform diagonal the value can fall to 1/N.
+    """
     m = rho.entries
+    d = float(m[0, 0])
+    tol = _COHERENCE_RTOL * d
+    if np.any(np.abs(np.diagonal(m) - d) > tol):
+        raise ValueError("diagonal probabilities must be uniform")
+    if np.any(m > d + tol):
+        raise ValueError("coherence magnitudes must not exceed the diagonal")
     sum_sq = float(np.sum(m * m))
     if sum_sq == 0.0:
         raise ValueError("density matrix carries no weight")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, OccupationProfile, make_window, validate_params
-from .specfun import bessel_j, bessel_j_row
+from .specfun import MAX_ORDER, bessel_j, bessel_j_row
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,9 @@ def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:
     """Transfer probabilities over the full centred window at time t."""
     validate_params(p)
     t = _check_time(t)
+    if p.N // 2 > MAX_ORDER:
+        raise ValueError(f"N must be <= {2 * MAX_ORDER + 1}, the largest window "
+                         "inside the Bessel order envelope")
     window = make_window(p.N)
     idx = np.abs(np.asarray(window.indices))
     j = bessel_j_row(int(idx.max()), p.c * t)[idx]

@@ -12,7 +12,6 @@ which stays stable for the large orders (hundreds) and large arguments
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,10 @@ _RESCALE_LIMIT = 1e130
 _RESCALE = 1e-130
 # Below this argument a two-term power series is exact to double precision.
 _SERIES_CUTOFF = 1e-8
+#: Envelope of the documented accuracy; larger orders or arguments are rejected
+#: before the recurrence allocates its (order + 1.5 x)-sized work array.
+MAX_ORDER = 2000
+MAX_ARGUMENT = 1000.0
 
 
 def _check_argument(x: float) -> float:
@@ -52,11 +55,18 @@ def _row_series(n_max: int, x: float) -> np.ndarray:
 
 
 def bessel_j_row(n_max: int, x: float) -> np.ndarray:
-    """Evaluate J_0(x) .. J_{n_max}(x) in one downward recurrence pass."""
+    """Evaluate J_0(x) .. J_{n_max}(x) in one downward recurrence pass.
+
+    Requires ``n_max <= MAX_ORDER`` and ``x <= MAX_ARGUMENT``.
+    """
     if int(n_max) != n_max or n_max < 0:
         raise ValueError("n_max must be an integer >= 0")
+    if n_max > MAX_ORDER:
+        raise ValueError(f"n_max must be <= {MAX_ORDER}")
     n_max = int(n_max)
     x = _check_argument(x)
+    if x > MAX_ARGUMENT:
+        raise ValueError(f"x must be <= {MAX_ARGUMENT:g}")
     if x < _SERIES_CUTOFF:
         return _row_series(n_max, x)
 
@@ -76,7 +86,8 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
 def bessel_j(n: int, x: float) -> float:
     """J_n(x) for integer ``n`` (any sign) and ``x >= 0``.
 
-    Absolute error stays below 1e-10 for |n| <= 2000 and x <= 1000.
+    Absolute error stays below 1e-10 for |n| <= 2000 and x <= 1000; other
+    orders and arguments are rejected.
     """
     if int(n) != n:
         raise ValueError("n must be an integer")
@@ -85,16 +96,3 @@ def bessel_j(n: int, x: float) -> float:
     if n < 0 and n % 2:
         return -value
     return value
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """Record of a single evaluation J_n(x)."""
-
-    n: int
-    x: float
-    value: float
-
-    @classmethod
-    def evaluate(cls, n: int, x: float) -> "BesselEval":
-        return cls(n=int(n), x=float(x), value=bessel_j(n, x))

@@ -167,15 +167,27 @@ def test_coherence_size_rejects_zero_matrix():
         coherence_size(AggregateDensityMatrix(N=3, entries=np.zeros((3, 3))))
 
 
-@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**9))
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**9),
+       st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=80)
-def test_coherence_size_bounds(N, seed):
+def test_coherence_size_bounds(N, seed, density):
+    # Translation-invariant ensemble: uniform diagonal d, every |rho_mn| <= d.
+    # Then sum off^2 <= d sum off gives the lower bound, Cauchy-Schwarz the upper.
     rng = np.random.default_rng(seed)
-    m = rng.uniform(0.0, 1.0, size=(N, N))
+    d = 0.9 / N
+    m = rng.uniform(0.0, d, size=(N, N)) * (rng.uniform(size=(N, N)) < density)
     m = 0.5 * (m + m.T)
-    m *= 0.9 / max(np.trace(m), 1e-9)
+    np.fill_diagonal(m, d)
     value = coherence_size(AggregateDensityMatrix(N=N, entries=m))
     assert 1.0 - 1e-9 <= value <= N + 1e-9
+
+
+def test_coherence_size_rejects_matrices_outside_its_ensemble():
+    # diag(0.9, 0.1) would give 0.61, below the promised lower bound of 1.
+    with pytest.raises(ValueError, match="uniform"):
+        coherence_size(AggregateDensityMatrix(N=2, entries=np.diag([0.9, 0.1])))
+    with pytest.raises(ValueError, match="exceed"):
+        coherence_size(AggregateDensityMatrix(N=2, entries=np.array([[0.2, 0.3], [0.3, 0.2]])))
 
 
 def test_spano_reference_values():

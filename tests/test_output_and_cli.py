@@ -130,8 +130,13 @@ def test_cli_eval_prints_single_number(capsys):
 
 
 def test_cli_eval_domain_error(capsys):
-    assert cli.main(["eval", "spano", "c=15", "b=0", "t_k=2"]) == 2
-    assert "domain error" in capsys.readouterr().err
+    # The last two lie outside the Bessel envelope (|n| <= 2000, x <= 1000) and
+    # must be rejected before a window of N sites or a row of c t orders exists.
+    for args in (["spano", "c=15", "b=0", "t_k=2"],
+                 ["entropy", "t=1", "N=1e9"],
+                 ["entropy", "t=1e7", "c=30"]):
+        assert cli.main(["eval", *args]) == 2
+        assert "domain error" in capsys.readouterr().err
 
 
 def test_cli_eval_unknown_measure(capsys):
@@ -145,8 +150,12 @@ def test_cli_eval_missing_argument(capsys):
 
 
 def test_cli_eval_bad_pair(capsys):
-    assert cli.main(["eval", "bessel", "n=1", "x"]) == 1
-    assert "key=value" in capsys.readouterr().err
+    for args, message in ((["bessel", "n=1", "x"], "key=value"),
+                          (["entropy", "t=2", "N=2.5"], "integer"),
+                          (["bessel", "n=2.7", "x=1"], "integer"),
+                          (["geometric_entropy", "N=4", "M=2.5"], "integer")):
+        assert cli.main(["eval", *args]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code(capsys):

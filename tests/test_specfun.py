@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jband_sim.specfun import BesselEval, bessel_j, bessel_j_row
+from jband_sim.specfun import bessel_j, bessel_j_row
 
 from oracles import bessel_mp, bessel_series
 
@@ -59,6 +59,7 @@ def test_oracles_agree_with_each_other():
 
 @given(st.integers(min_value=-300, max_value=300),
        st.floats(min_value=0.0, max_value=300.0, allow_nan=False))
+@example(-3, 2.0)
 def test_parity_is_exact(n, x):
     sign = -1.0 if (n < 0 and n % 2) else 1.0
     assert bessel_j(n, x) == sign * bessel_j(abs(n), x)
@@ -71,6 +72,16 @@ def test_closure_identity(x):
     row = bessel_j_row(n_max, x)
     total = row[0] ** 2 + 2.0 * float(np.sum(row[1:] ** 2))
     assert abs(total - 1.0) <= 1e-8
+
+
+@given(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False))
+@settings(deadline=None)
+def test_second_moment_sum_rule(x):
+    # 2 sum_n n^2 J_n(x)^2 = x^2 / 2, with the row long enough to hold the tail.
+    row = bessel_j_row(math.ceil(x) + 60, x)
+    n = np.arange(len(row))
+    moment = 2.0 * float(np.sum(n * n * row * row))
+    assert moment == pytest.approx(0.5 * x * x, rel=1e-12, abs=1e-300)
 
 
 @given(st.integers(min_value=1, max_value=600),
@@ -106,8 +117,11 @@ def test_row_rejects_negative_order():
         bessel_j_row(-1, 1.0)
 
 
-def test_eval_record():
-    rec = BesselEval.evaluate(-3, 2.0)
-    assert rec.n == -3 and rec.x == 2.0
-    assert rec.value == -bessel_j(3, 2.0)
-    assert abs(rec.value) <= 1.0
+def test_row_rejects_inputs_beyond_envelope():
+    # The documented envelope is |n| <= 2000, x <= 1000; its edges are oracle cases above.
+    with pytest.raises(ValueError, match="n_max"):
+        bessel_j_row(2001, 1.0)
+    with pytest.raises(ValueError, match="x must be"):
+        bessel_j_row(10, 1000.5)
+    with pytest.raises(ValueError, match="n_max"):
+        bessel_j(-2001, 1.0)
