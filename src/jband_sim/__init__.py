@@ -6,7 +6,6 @@ from .core import (
     OccupationProfile,
     SiteWindow,
     make_window,
-    validate_params,
 )
 from .experiments import (
     CsvTable,

@@ -69,8 +69,8 @@ def _susceptibility_from(kw: dict) -> SusceptibilityParams:
 
 # measure name -> (required keys, evaluator over the parsed key/value dict)
 EVAL_MEASURES = {
-    "bessel": (("n", "x"), lambda kw: bessel_j(int(kw["n"]), kw["x"])),
-    "transfer": (("n", "t"), lambda kw: transfer_probability(int(kw["n"]), kw["t"], model_params(kw))),
+    "bessel": (("n", "x"), lambda kw: bessel_j(kw["n"], kw["x"])),
+    "transfer": (("n", "t"), lambda kw: transfer_probability(kw["n"], kw["t"], model_params(kw))),
     "survival": (("t",), lambda kw: _profile(kw).u.sum()),
     "entropy": (("t",), lambda kw: entropy_report(_profile(kw)).total),
     "entropy_avg": (("t",), lambda kw: entropy_report(_profile(kw)).average),
@@ -81,11 +81,11 @@ EVAL_MEASURES = {
     "concurrence_scaled": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], int(kw["N"])).scaled),
     "spano": (("b",), lambda kw: spano_coherence_size(model_params(kw))),
     "resonance": ((), lambda kw: resonance_coherence_size(kw.get("c", DEFAULT_BASE["c"]))),
-    "lambda_max": (("N", "M"), lambda kw: lambda_max(SymmetricState(int(kw["N"]), int(kw["M"])))),
-    "geometric_entropy": (("N", "M"), lambda kw: geometric_entropy(SymmetricState(int(kw["N"]), int(kw["M"])))),
-    "zeta1": (("N",), lambda kw: zeta_ratios(int(kw["N"]))[0]),
-    "zeta2": (("N",), lambda kw: zeta_ratios(int(kw["N"]))[1]),
-    "chi3": (("N",), lambda kw: chi3_magnitude(int(kw["N"]), _susceptibility_from(kw))),
+    "lambda_max": (("N", "M"), lambda kw: lambda_max(SymmetricState(kw["N"], kw["M"]))),
+    "geometric_entropy": (("N", "M"), lambda kw: geometric_entropy(SymmetricState(kw["N"], kw["M"]))),
+    "zeta1": (("N",), lambda kw: zeta_ratios(kw["N"])[0]),
+    "zeta2": (("N",), lambda kw: zeta_ratios(kw["N"])[1]),
+    "chi3": (("N",), lambda kw: chi3_magnitude(kw["N"], _susceptibility_from(kw))),
     "exciton_energy": (("k", "delta_e", "d_shift", "v"),
                        lambda kw: exciton_energy(kw["k"], DispersionParams(kw["delta_e"], kw["d_shift"], kw["v"]))),
     "dipole": (("mu_i", "mu_j", "d"),

@@ -14,6 +14,15 @@ import numpy as np
 OCCUPATION_SUM_EPS = 1e-9
 
 
+def check_integer(value, name: str, lo: int | None = None) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless integral (not inf/nan) and >= ``lo``."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimensionless parameter set driving the reduced dynamics.
@@ -26,7 +35,8 @@ class ModelParams:
         N:   number of molecular sites in the chain.
 
     Time is measured in inverse phonon-frequency units throughout, so every
-    field is a pure number.
+    field is a pure number.  Construction rejects values outside these
+    domains and stores ``N`` as an ``int``.
     """
 
     a: float
@@ -35,22 +45,16 @@ class ModelParams:
     t_k: float
     N: int
 
-
-def validate_params(p: ModelParams) -> ModelParams:
-    """Return ``p`` unchanged if every field lies in its allowed domain."""
-    if not (math.isfinite(p.a) and p.a >= 0):
-        raise ValueError("a must be finite and >= 0")
-    if not (math.isfinite(p.b) and p.b >= 0):
-        raise ValueError("b must be finite and >= 0")
-    if not (math.isfinite(p.c) and p.c > 0):
-        raise ValueError("c must be positive")
-    if not (math.isfinite(p.t_k) and p.t_k > 0):
-        raise ValueError("t_k must be positive")
-    if int(p.N) != p.N:
-        raise ValueError("N must be an integer")
-    if p.N < 2:
-        raise ValueError("N must be >= 2")
-    return p
+    def __post_init__(self):
+        if not (math.isfinite(self.a) and self.a >= 0):
+            raise ValueError("a must be finite and >= 0")
+        if not (math.isfinite(self.b) and self.b >= 0):
+            raise ValueError("b must be finite and >= 0")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError("c must be positive")
+        if not (math.isfinite(self.t_k) and self.t_k > 0):
+            raise ValueError("t_k must be positive")
+        object.__setattr__(self, "N", check_integer(self.N, "N", 2))
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,7 @@ def make_window(N: int) -> SiteWindow:
 
     Odd ``N`` spans [-(N-1)/2, (N-1)/2]; even ``N`` spans [-N/2, N/2-1].
     """
-    if int(N) != N or N < 2:
-        raise ValueError("N must be an integer >= 2")
-    N = int(N)
+    N = check_integer(N, "N", 2)
     half = N // 2
     hi = half if N % 2 else half - 1
     return SiteWindow(N=N, indices=tuple(range(-half, hi + 1)))

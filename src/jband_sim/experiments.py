@@ -8,10 +8,10 @@ its per-site average, exposed via ``run_experiment_outputs``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
-from .core import ModelParams, validate_params
+from .core import ModelParams
 from .measures import concurrence_vs_size_curve, entropy_report, extended_state_entropy
 from .multipartite import SusceptibilityParams, SymmetricState, chi3_magnitude, geometric_entropy, zeta_ratios
 from .propagator import occupation_profile
@@ -62,6 +62,8 @@ class CsvTable:
 
 @dataclass(frozen=True)
 class ExperimentDef:
+    """A bundled study; ``resolve`` returns a copy with a spec's overrides merged in."""
+
     name: str
     kind: str
     description: str
@@ -137,18 +139,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
-@dataclass(frozen=True)
-class RunPlan:
-    """Fully resolved study: merged parameters, curves, grid and table kind."""
-
-    name: str
-    kind: str
-    base: Mapping[str, float]
-    curves: tuple[Mapping[str, float], ...]
-    sweep: SweepAxis
-    extended_ref: bool
-
-
 def _format_value(v: float) -> str:
     return f"{v:g}"
 
@@ -179,7 +169,7 @@ def _grid(axis: SweepAxis) -> list:
     return [int(round(v)) for v in grid] if axis.variable in ("N", "M") else grid
 
 
-def resolve(spec: ExperimentSpec) -> RunPlan:
+def resolve(spec: ExperimentSpec) -> ExperimentDef:
     """Merge a spec with its preset and validate the result."""
     definition = EXPERIMENTS.get(spec.name)
     if definition is None:
@@ -218,15 +208,15 @@ def resolve(spec: ExperimentSpec) -> RunPlan:
         if merged not in curves:
             curves.append(merged)
 
-    t = base.get("t")
-    if t is not None and (not math.isfinite(float(t)) or float(t) < 0):
-        raise ValueError("t must be finite and >= 0")
-    if kind in ("entropy", "concurrence_vs_N"):
-        for curve in curves:
-            model_params({**base, **curve, sweep.variable: first})
+    for curve in curves:
+        merged = {**base, **curve, sweep.variable: first}
+        t = merged.get("t")
+        if t is not None and (not math.isfinite(float(t)) or float(t) < 0):
+            raise ValueError("t must be finite and >= 0")
+        if kind in ("entropy", "concurrence_vs_N"):
+            model_params(merged)
 
-    return RunPlan(name=spec.name, kind=kind, base=base, curves=tuple(curves),
-                   sweep=sweep, extended_ref=definition.extended_ref)
+    return replace(definition, kind=kind, base=base, curves=tuple(curves), sweep=sweep)
 
 
 def model_params(values: Mapping[str, float]) -> ModelParams:
@@ -234,15 +224,11 @@ def model_params(values: Mapping[str, float]) -> ModelParams:
 
     A non-integral ``N`` is rejected, not truncated.
     """
-    merged = {k: values.get(k, DEFAULT_BASE[k]) for k in ("a", "b", "c", "t_k", "N")}
-    if not float(merged["N"]).is_integer():
-        raise ValueError("N must be an integer")
-    return validate_params(ModelParams(a=float(merged["a"]), b=float(merged["b"]),
-                                       c=float(merged["c"]), t_k=float(merged["t_k"]),
-                                       N=int(merged["N"])))
+    return ModelParams(**{k: float(values.get(k, DEFAULT_BASE[k]))
+                          for k in ("a", "b", "c", "t_k", "N")})
 
 
-def _build_entropy(plan: RunPlan) -> dict[str, CsvTable]:
+def _build_entropy(plan: ExperimentDef) -> dict[str, CsvTable]:
     var = plan.sweep.variable
     total_rows, avg_rows = [], []
     for x in _grid(plan.sweep):
@@ -270,7 +256,7 @@ def _build_entropy(plan: RunPlan) -> dict[str, CsvTable]:
     }
 
 
-def _build_concurrence_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
+def _build_concurrence_vs_N(plan: ExperimentDef) -> dict[str, CsvTable]:
     grid = _grid(plan.sweep)
     labels = [_curve_label(curve) for curve in plan.curves]
     columns = []
@@ -283,7 +269,7 @@ def _build_concurrence_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
     return {"": CsvTable(header, rows)}
 
 
-def _build_zeta_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
+def _build_zeta_vs_N(plan: ExperimentDef) -> dict[str, CsvTable]:
     rows = []
     for N in _grid(plan.sweep):
         z1, z2 = zeta_ratios(N)
@@ -291,7 +277,7 @@ def _build_zeta_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
     return {"": CsvTable(("N", "zeta1", "zeta2"), tuple(rows))}
 
 
-def _build_chi3_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
+def _build_chi3_vs_N(plan: ExperimentDef) -> dict[str, CsvTable]:
     sp = SusceptibilityParams(mu=float(plan.base["mu"]), gamma=float(plan.base["gamma"]),
                               delta_e=float(plan.base["delta_e"]), omega=float(plan.base["omega"]))
     rows = []
@@ -302,15 +288,15 @@ def _build_chi3_vs_N(plan: RunPlan) -> dict[str, CsvTable]:
     return {"": CsvTable(("N", "chi3_reduced", "chi3_over_N"), tuple(rows))}
 
 
-def _build_geometric_vs_M(plan: RunPlan) -> dict[str, CsvTable]:
-    N = int(plan.base.get("N", DEFAULT_BASE["N"]))
+def _build_geometric_vs_M(plan: ExperimentDef) -> dict[str, CsvTable]:
+    N = plan.base.get("N", DEFAULT_BASE["N"])
     rows = []
     for M in _grid(plan.sweep):
         rows.append((float(M), geometric_entropy(SymmetricState(N, M))))
     return {"": CsvTable(("M", "E_geom"), tuple(rows))}
 
 
-_BUILDERS: dict[str, Callable[[RunPlan], dict[str, CsvTable]]] = {
+_BUILDERS: dict[str, Callable[[ExperimentDef], dict[str, CsvTable]]] = {
     "entropy": _build_entropy,
     "concurrence_vs_N": _build_concurrence_vs_N,
     "zeta_vs_N": _build_zeta_vs_N,

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import AggregateDensityMatrix, ModelParams, OccupationProfile, validate_params
+from .core import AggregateDensityMatrix, ModelParams, OccupationProfile
 
 #: Prefactor of the empirical coherence-size relation.
 SPANO_COEFFICIENT = 2.16
@@ -116,7 +116,6 @@ def coherence_size(rho: AggregateDensityMatrix) -> float:
 
 def spano_coherence_size(p: ModelParams) -> float:
     """Empirical coherence size 2.16 (c^2 / (b^2 t_k))^(1/3), capped at N."""
-    validate_params(p)
     if p.b == 0.0:
         raise ValueError("b must be positive; with b = 0 the coherence size is the full aggregate N")
     nc = SPANO_COEFFICIENT * (p.c * p.c / (p.b * p.b * p.t_k)) ** (1.0 / 3.0)
@@ -139,7 +138,7 @@ def concurrence_vs_size_curve(p: ModelParams,
     """
     curve = []
     for N in N_range:
-        pn = validate_params(replace(p, N=int(N)))
+        pn = replace(p, N=N)
         zeta = max(1.0, spano_coherence_size(pn))
         curve.append((pn.N, average_concurrence(zeta, pn.N).avg_concurrence))
     return curve

@@ -12,13 +12,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import check_integer
+
 
 @dataclass(frozen=True)
 class SymmetricState:
-    """Permutation-symmetric basis state of N monomers with M ground-state slots."""
+    """Permutation-symmetric basis state of N >= 1 monomers with M in [0, N]
+    ground-state slots; both are stored as ``int``."""
 
     N: int
     M: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "N", check_integer(self.N, "N", 1))
+        object.__setattr__(self, "M", check_integer(self.M, "M"))
+        if not (0 <= self.M <= self.N):
+            raise ValueError("M must lie in [0, N]")
 
 
 @dataclass(frozen=True)
@@ -28,6 +37,11 @@ class TwoBranchHamiltonian:
     e1: float
     e2: float
     t_coupling: float
+
+    def __post_init__(self):
+        for name in ("e1", "e2", "t_coupling"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -39,14 +53,18 @@ class SusceptibilityParams:
     delta_e: float
     omega: float
 
-
-def _check_state(s: SymmetricState) -> None:
-    if int(s.N) != s.N or int(s.M) != s.M:
-        raise ValueError("N and M must be integers")
-    if s.N < 1:
-        raise ValueError("N must be >= 1")
-    if not (0 <= s.M <= s.N):
-        raise ValueError("M must lie in [0, N]")
+    def __post_init__(self):
+        for name in ("mu", "gamma", "delta_e", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if self.delta_e <= 0:
+            raise ValueError("delta_e must be positive")
+        if self.omega <= 0:
+            raise ValueError("omega must be positive")
+        if self.omega == self.delta_e:
+            raise ValueError("omega must differ from delta_e (resonant singularity)")
 
 
 def _log_overlap_sq(N: int, M: int) -> float:
@@ -63,14 +81,12 @@ def _log_overlap_sq(N: int, M: int) -> float:
 
 def lambda_max(s: SymmetricState) -> float:
     """Maximal product-state overlap sqrt(C(N,M) (M/N)^M ((N-M)/N)^(N-M))."""
-    _check_state(s)
-    return math.exp(0.5 * _log_overlap_sq(int(s.N), int(s.M)))
+    return math.exp(0.5 * _log_overlap_sq(s.N, s.M))
 
 
 def geometric_entropy(s: SymmetricState) -> float:
     """Geometric entanglement -ln(lambda_max^2), in nats; zero at M = 0 or M = N."""
-    _check_state(s)
-    value = -_log_overlap_sq(int(s.N), int(s.M))
+    value = -_log_overlap_sq(s.N, s.M)
     return value if value > 0.0 else 0.0
 
 
@@ -80,27 +96,11 @@ def zeta_ratios(N: int) -> tuple[float, float]:
     For odd N the normaliser uses M = (N - 1) / 2, which equals the
     M = (N + 1) / 2 value by symmetry.
     """
-    if int(N) != N or N < 4:
-        raise ValueError("N must be an integer >= 4")
-    N = int(N)
+    N = check_integer(N, "N", 4)
     denom = geometric_entropy(SymmetricState(N, N // 2))
     zeta1 = geometric_entropy(SymmetricState(N, 1)) / denom
     zeta2 = geometric_entropy(SymmetricState(N, 2)) / denom
     return zeta1, zeta2
-
-
-def _check_susceptibility(sp: SusceptibilityParams) -> None:
-    for name in ("mu", "gamma", "delta_e", "omega"):
-        if not math.isfinite(getattr(sp, name)):
-            raise ValueError(f"{name} must be finite")
-    if sp.gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if sp.delta_e <= 0:
-        raise ValueError("delta_e must be positive")
-    if sp.omega <= 0:
-        raise ValueError("omega must be positive")
-    if sp.omega == sp.delta_e:
-        raise ValueError("omega must differ from delta_e (resonant singularity)")
 
 
 def chi3_magnitude(N: int, sp: SusceptibilityParams) -> float:
@@ -110,10 +110,7 @@ def chi3_magnitude(N: int, sp: SusceptibilityParams) -> float:
     is the geometric entropy.  The detuning denominator enters through its
     absolute value; it is negative at the usual omega = delta_e / 3 drive.
     """
-    if int(N) != N or N < 4:
-        raise ValueError("N must be an integer >= 4")
-    _check_susceptibility(sp)
-    N = int(N)
+    N = check_integer(N, "N", 4)
     e_one = geometric_entropy(SymmetricState(N, 1))
     e_two = geometric_entropy(SymmetricState(N, 2))
     detune = abs(sp.omega * sp.omega - sp.delta_e * sp.delta_e)
@@ -126,9 +123,6 @@ def two_exciton_diagonalize(h: TwoBranchHamiltonian) -> tuple[float, float, floa
     The angle beta lies in (-pi/4, pi/4], with beta = pi/4 for degenerate
     branches with nonzero coupling and beta = 0 for zero coupling.
     """
-    for name in ("e1", "e2", "t_coupling"):
-        if not math.isfinite(getattr(h, name)):
-            raise ValueError(f"{name} must be finite")
     mean = 0.5 * (h.e1 + h.e2)
     radius = math.hypot(0.5 * (h.e1 - h.e2), h.t_coupling)
     if h.t_coupling == 0.0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, OccupationProfile, make_window, validate_params
+from .core import ModelParams, OccupationProfile, make_window
 from .specfun import MAX_ORDER, bessel_j, bessel_j_row
 
 
@@ -43,11 +43,15 @@ class DispersionParams:
 
 @dataclass(frozen=True)
 class DipolePair:
-    """Transition-dipole magnitudes of two sites a distance d apart."""
+    """Transition-dipole magnitudes of two sites a distance d > 0 apart."""
 
     mu_i: float
     mu_j: float
     d: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise ValueError("d must be positive")
 
 
 def _check_time(t: float) -> float:
@@ -59,7 +63,6 @@ def _check_time(t: float) -> float:
 
 def transfer_probability(n: int, t: float, p: ModelParams) -> float:
     """Probability that the excitation started at site 0 sits at site n at time t."""
-    validate_params(p)
     t = _check_time(t)
     j = bessel_j(n, p.c * t)
     # Grouping keeps the a-dependence an exact scalar factor.
@@ -68,7 +71,6 @@ def transfer_probability(n: int, t: float, p: ModelParams) -> float:
 
 def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:
     """Transfer probabilities over the full centred window at time t."""
-    validate_params(p)
     t = _check_time(t)
     if p.N // 2 > MAX_ORDER:
         raise ValueError(f"N must be <= {2 * MAX_ORDER + 1}, the largest window "
@@ -94,6 +96,4 @@ def exciton_energy(k: float, dp: DispersionParams) -> float:
 
 def dipole_coupling(pair: DipolePair) -> float:
     """Point-dipole transfer energy mu_i mu_j / d^3 (unit proportionality)."""
-    if not (math.isfinite(pair.d) and pair.d > 0):
-        raise ValueError("d must be positive")
     return pair.mu_i * pair.mu_j / pair.d**3

@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .core import check_integer
+
 # Start the descent this far above the requested order; the margin keeps the
 # truncation contamination far below the 1e-10 accuracy target.
 _ORDER_MARGIN = 40
@@ -59,11 +61,9 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
 
     Requires ``n_max <= MAX_ORDER`` and ``x <= MAX_ARGUMENT``.
     """
-    if int(n_max) != n_max or n_max < 0:
-        raise ValueError("n_max must be an integer >= 0")
+    n_max = check_integer(n_max, "n_max", 0)
     if n_max > MAX_ORDER:
         raise ValueError(f"n_max must be <= {MAX_ORDER}")
-    n_max = int(n_max)
     x = _check_argument(x)
     if x > MAX_ARGUMENT:
         raise ValueError(f"x must be <= {MAX_ARGUMENT:g}")
@@ -89,9 +89,7 @@ def bessel_j(n: int, x: float) -> float:
     Absolute error stays below 1e-10 for |n| <= 2000 and x <= 1000; other
     orders and arguments are rejected.
     """
-    if int(n) != n:
-        raise ValueError("n must be an integer")
-    n = int(n)
+    n = check_integer(n, "n")
     value = float(bessel_j_row(abs(n), x)[abs(n)])
     if n < 0 and n % 2:
         return -value

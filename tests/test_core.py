@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,23 +10,32 @@ from jband_sim.core import (
     ModelParams,
     OccupationProfile,
     make_window,
-    validate_params,
 )
+from jband_sim.multipartite import (
+    SusceptibilityParams,
+    SymmetricState,
+    chi3_magnitude,
+    geometric_entropy,
+    zeta_ratios,
+)
+from jband_sim.propagator import occupation_profile
+from jband_sim.specfun import bessel_j, bessel_j_row
 
 
 def test_validate_accepts_reference_parameters():
-    p = ModelParams(a=0.0, b=0.0, c=30.0, t_k=1.0, N=200)
-    assert validate_params(p) is p
+    p = ModelParams(a=0.0, b=0.0, c=30.0, t_k=1.0, N=200.0)
+    assert (p.a, p.b, p.c, p.t_k, p.N) == (0.0, 0.0, 30.0, 1.0, 200)
+    assert type(p.N) is int
 
 
 def test_validate_rejects_zero_transfer_rate():
     with pytest.raises(ValueError, match="c must be positive"):
-        validate_params(ModelParams(a=0.0, b=0.0, c=0.0, t_k=1.0, N=10))
+        ModelParams(a=0.0, b=0.0, c=0.0, t_k=1.0, N=10)
 
 
 def test_validate_rejects_single_site_chain():
     with pytest.raises(ValueError, match="N must be >= 2"):
-        validate_params(ModelParams(a=0.5, b=0.3, c=20.0, t_k=2.0, N=1))
+        ModelParams(a=0.5, b=0.3, c=20.0, t_k=2.0, N=1)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -35,12 +46,31 @@ def test_validate_rejects_out_of_domain_fields(field, value):
     base = dict(a=0.0, b=0.0, c=30.0, t_k=1.0, N=10)
     base[field] = value
     with pytest.raises(ValueError, match=field.split("_")[0]):
-        validate_params(ModelParams(**base))
+        ModelParams(**base)
 
 
 def test_validate_is_idempotent():
+    # Rebuilding a validated record (as dataclasses.replace does) re-validates
+    # it and yields an equal record.
     p = ModelParams(a=0.2, b=0.1, c=5.0, t_k=2.0, N=64)
-    assert validate_params(validate_params(p)) == p
+    assert replace(p) == p
+    assert replace(p, N=64.0) == p
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("call", [
+    make_window,
+    lambda v: bessel_j(v, 1.0),
+    lambda v: bessel_j_row(v, 1.0),
+    lambda v: occupation_profile(1.0, ModelParams(a=0.0, b=0.0, c=30.0, t_k=1.0, N=v)),
+    lambda v: geometric_entropy(SymmetricState(v, 1)),
+    zeta_ratios,
+    lambda v: chi3_magnitude(v, SusceptibilityParams(mu=1.0, gamma=0.5, delta_e=3.0, omega=1.0)),
+], ids=["make_window", "bessel_j", "bessel_j_row", "occupation_profile",
+        "geometric_entropy", "zeta_ratios", "chi3_magnitude"])
+def test_non_finite_integer_arguments_are_domain_errors(call, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(value)
 
 
 def test_window_odd():

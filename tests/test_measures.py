@@ -87,6 +87,18 @@ def test_uniform_profile_average_equals_extended_reference(N):
     assert report.average == pytest.approx(report.total / N, rel=1e-12)
 
 
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=300),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=80)
+def test_entropy_total_is_bounded_by_extended_state(weights, scale):
+    # h is concave and rises on [0, 1/2], so sum h(u_n) <= N h(mean u) <= N h(1/N).
+    w = np.asarray(weights)
+    u = w / w.sum() * scale if w.sum() > 0 else w
+    N = len(u)
+    total = entropy_report(profile_from(u)).total
+    assert total <= N * extended_state_entropy(N) * (1 + 1e-12)
+
+
 def test_ipr_localized():
     assert ipr(delta_profile(9)) == 1.0
 

@@ -101,6 +101,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "experiment = fig1a\nbogus = 3\n")
     assert cli.main(["run", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+    # fig1b sets t per curve; a negative t is still rejected at parse time.
+    cfg = write_config(tmp_path, "experiment = fig1b\nt = -1\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert "config error: t must be" in capsys.readouterr().err
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):

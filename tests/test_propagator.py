@@ -73,11 +73,16 @@ def test_survival_drops_after_wavefront_exit():
 
 
 @given(st.floats(min_value=0.1, max_value=8.0),
-       st.floats(min_value=0.0, max_value=3.0))
+       st.floats(min_value=0.0, max_value=3.0),
+       st.floats(min_value=0.0, max_value=1.5),
+       st.floats(min_value=0.0, max_value=1.0))
 @settings(deadline=None, max_examples=40)
-def test_zero_coupling_conserves_probability(c, t):
+def test_zero_coupling_conserves_probability(c, t, a, b):
+    # While the window covers the front, only dressing and damping remove weight.
     N = 2 * (int(math.ceil(c * t)) + 40) + 1
     assert window_survival(t, params(c=c, N=N)) == pytest.approx(1.0, abs=1e-6)
+    assert window_survival(t, params(a=a, b=b, c=c, N=N)) == \
+        pytest.approx(math.exp(-a * a - b * b * t), rel=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=3.0),
