@@ -222,10 +222,13 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
 def model_params(values: Mapping[str, float]) -> ModelParams:
     """Validated model parameters from ``values``; ``DEFAULT_BASE`` fills the gaps.
 
-    A non-integral ``N`` is rejected, not truncated.
+    A non-integral ``N`` is rejected, not truncated.  ``N`` is passed on as
+    given, so an integer too large for a float is a domain error, not an
+    ``OverflowError``.
     """
-    return ModelParams(**{k: float(values.get(k, DEFAULT_BASE[k]))
-                          for k in ("a", "b", "c", "t_k", "N")})
+    return ModelParams(N=values.get("N", DEFAULT_BASE["N"]),
+                       **{k: float(values.get(k, DEFAULT_BASE[k]))
+                          for k in ("a", "b", "c", "t_k")})
 
 
 def _build_entropy(plan: ExperimentDef) -> dict[str, CsvTable]:

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import AggregateDensityMatrix, ModelParams, OccupationProfile
+from .core import AggregateDensityMatrix, ModelParams, OccupationProfile, check_integer
 
 #: Prefactor of the empirical coherence-size relation.
 SPANO_COEFFICIENT = 2.16
@@ -57,8 +57,7 @@ def _site_entropies(u: np.ndarray) -> np.ndarray:
 
 def extended_state_entropy(N: int) -> float:
     """Per-site entropy of the fully extended state on N sites."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    N = check_integer(N, "N", 2)
     return math.log(N) / N - (1.0 - 1.0 / N) * math.log1p(-1.0 / N)
 
 
@@ -85,8 +84,7 @@ def ipr(profile: OccupationProfile) -> float:
 
 def average_concurrence(zeta: float, N: int) -> ConcurrenceReport:
     """Average pairwise concurrence 2 (zeta - 1) / (N (N - 1))."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    N = check_integer(N, "N", 2)
     if not (1.0 <= zeta <= N):
         raise ValueError("zeta must lie in [1, N]")
     avg = 2.0 * (zeta - 1.0) / (N * (N - 1.0))

@@ -7,10 +7,17 @@ normalised through the sum-of-squares identity
     J_0(x)^2 + 2 * sum_{n>=1} J_n(x)^2 = 1,
 
 which stays stable for the large orders (hundreds) and large arguments
-(several hundred) that full-window sweeps require.  All functions are pure.
+(several hundred) that full-window sweeps require.  The recurrence runs on
+Python floats, which round exactly as numpy's float64 does.
+
+All functions are pure.  Every row returned is read-only, and up to 8 recent
+recurrence rows are kept and handed out again: a sweep that varies only the
+dressing ``a`` or the decoherence ``b`` asks for the same ``(n_max, x)`` row
+once per curve.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,7 +66,8 @@ def _row_series(n_max: int, x: float) -> np.ndarray:
 def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     """Evaluate J_0(x) .. J_{n_max}(x) in one downward recurrence pass.
 
-    Requires ``n_max <= MAX_ORDER`` and ``x <= MAX_ARGUMENT``.
+    Requires ``n_max <= MAX_ORDER`` and ``x <= MAX_ARGUMENT``.  The returned
+    array is read-only; equal arguments may return the same array.
     """
     n_max = check_integer(n_max, "n_max", 0)
     if n_max > MAX_ORDER:
@@ -68,19 +76,35 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     if x > MAX_ARGUMENT:
         raise ValueError(f"x must be <= {MAX_ARGUMENT:g}")
     if x < _SERIES_CUTOFF:
-        return _row_series(n_max, x)
+        row = _row_series(n_max, x)
+        row.setflags(write=False)
+        return row
+    return _row_recurrence(n_max, x)
 
+
+# Eight rows of at most MAX_ORDER + 1 floats (16 KB each) stay resident.
+@functools.lru_cache(maxsize=8)
+def _row_recurrence(n_max: int, x: float) -> np.ndarray:
     start = n_max + math.ceil(1.5 * x) + _ORDER_MARGIN
-    f = np.zeros(start + 1)
-    # The seed order exceeds x, where J is positive, so the hidden
-    # proportionality constant is positive and no sign fix is needed.
-    f[start - 1] = 1e-30
+    # f[start], f[start - 1], ...; the seed order exceeds x, where J is
+    # positive, so the hidden proportionality constant is positive and no
+    # sign fix is needed.
+    f = [0.0, 1e-30]
+    hi, lo = f
     for n in range(start - 1, 0, -1):
-        f[n - 1] = (2.0 * n / x) * f[n] - f[n + 1]
-        if abs(f[n - 1]) > _RESCALE_LIMIT:
-            f[n - 1:] *= _RESCALE
+        v = (2.0 * n / x) * lo - hi
+        if v > _RESCALE_LIMIT or v < -_RESCALE_LIMIT:
+            f = [r * _RESCALE for r in f]
+            lo *= _RESCALE
+            v *= _RESCALE
+        f.append(v)
+        hi, lo = lo, v
+    f.reverse()
+    f = np.array(f)
     norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
-    return f[: n_max + 1] / norm
+    row = f[: n_max + 1] / norm
+    row.setflags(write=False)
+    return row
 
 
 def bessel_j(n: int, x: float) -> float:

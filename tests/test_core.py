@@ -11,6 +11,7 @@ from jband_sim.core import (
     OccupationProfile,
     make_window,
 )
+from jband_sim.measures import average_concurrence, extended_state_entropy
 from jband_sim.multipartite import (
     SusceptibilityParams,
     SymmetricState,
@@ -66,11 +67,24 @@ def test_validate_is_idempotent():
     lambda v: geometric_entropy(SymmetricState(v, 1)),
     zeta_ratios,
     lambda v: chi3_magnitude(v, SusceptibilityParams(mu=1.0, gamma=0.5, delta_e=3.0, omega=1.0)),
+    extended_state_entropy,
+    lambda v: average_concurrence(2.0, v),
 ], ids=["make_window", "bessel_j", "bessel_j_row", "occupation_profile",
-        "geometric_entropy", "zeta_ratios", "chi3_magnitude"])
+        "geometric_entropy", "zeta_ratios", "chi3_magnitude",
+        "extended_state_entropy", "average_concurrence"])
 def test_non_finite_integer_arguments_are_domain_errors(call, value):
     with pytest.raises(ValueError, match="must be an integer"):
         call(value)
+
+
+@pytest.mark.parametrize("call", [
+    extended_state_entropy,
+    lambda v: average_concurrence(2.0, v),
+], ids=["extended_state_entropy", "average_concurrence"])
+def test_non_integral_site_counts_are_domain_errors(call):
+    with pytest.raises(ValueError, match="N must be an integer"):
+        call(2.5)
+    assert call(4.0) == call(4)
 
 
 def test_window_odd():

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from jband_sim import cli
-from jband_sim.experiments import CsvTable, ExperimentSpec, run_experiment
+from jband_sim.experiments import EXPERIMENTS, CsvTable, ExperimentSpec, run_experiment
 from jband_sim.output import emit_svg, format_number, render_csv, render_svg, write_csv
 
 
@@ -67,6 +70,9 @@ def test_emit_svg_writes_file(tmp_path):
     assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
 
 
+REFERENCE_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "reference_digests.json"
+
+
 def write_config(tmp_path, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text, encoding="utf-8")
@@ -105,6 +111,33 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "experiment = fig1b\nt = -1\n")
     assert cli.main(["run", "--config", str(cfg)]) == 1
     assert "config error: t must be" in capsys.readouterr().err
+
+
+def test_cli_huge_integer_n_is_a_domain_error(tmp_path, capsys):
+    # N is parsed as an int; one too large for a float must reach the window
+    # bound as a domain error, not escape as an OverflowError.
+    for experiment in ("fig1a", "fig2a", "custom"):
+        cfg = write_config(tmp_path, f"experiment = {experiment}\nN = 1{'0' * 400}\n"
+                                     f"out = {tmp_path / 'data'}\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "domain error: N must be <=" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_bundled_studies_match_reference_digests(tmp_path, capsys):
+    # The recorded SHA-256 of every bundled study's CSV and SVG defines "same
+    # behaviour"; the file is only read here.
+    reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["files"]
+    out = tmp_path / "out"
+    for name in EXPERIMENTS:
+        if name == "custom":
+            continue
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"experiment = {name}\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--svg"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert len(reference) == 34
+    assert digests == reference
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):

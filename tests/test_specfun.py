@@ -125,3 +125,58 @@ def test_row_rejects_inputs_beyond_envelope():
         bessel_j_row(10, 1000.5)
     with pytest.raises(ValueError, match="n_max"):
         bessel_j(-2001, 1.0)
+
+
+def _signed_orders(row, k):
+    # J_{-k} = (-1)^k J_k, so any integer order reads from a row of |k|.
+    value = row[np.abs(k)]
+    return np.where(k % 2 == 1, np.where(k < 0, -value, value), value)
+
+
+@given(st.integers(min_value=-100, max_value=100),
+       st.integers(min_value=0, max_value=500 * 256),
+       st.integers(min_value=0, max_value=500 * 256))
+@settings(deadline=None)
+@example(0, 768, 1152)        # (x, y) = (3, 4.5)
+@example(5, 5120, 9600)       # (20, 37.5)
+@example(-7, 38400, 53760)    # (150, 210)
+@example(100, 128000, 128000)  # (500, 500), the envelope's edge
+def test_graf_addition_theorem(n, x256, y256):
+    # J_n(x + y) = sum_k J_k(x) J_{n-k}(y) (DLMF 10.23.7).  The recurrence does
+    # not satisfy this by construction, so it checks rows across arguments.
+    # Multiples of 1/256 keep x + y exact.  Summing to max(x, y) + 100 orders
+    # keeps the dropped tail below the tolerance; 60 orders left 2e-13 at
+    # x = y = 422.
+    x, y = x256 / 256, y256 / 256
+    width = math.ceil(max(x, y)) + 100
+    k = np.arange(-width, width + 1)
+    terms = (_signed_orders(bessel_j_row(width, x), k)
+             * _signed_orders(bessel_j_row(width + abs(n), y), n - k))
+    assert abs(float(np.sum(terms)) - bessel_j(n, x + y)) <= 1e-14
+
+
+@pytest.mark.parametrize("n_max,x", [
+    (2000, 3.0), (2000, 0.5), (1500, 1e-7), (1000, 1.0), (300, 0.01), (100, 1e-3),
+])
+def test_rescaled_rows_against_arbitrary_precision_oracle(n_max, x):
+    # A small argument with many orders overflows the unnormalised descent
+    # several times (5 to 118 rescales here); every rescale must keep the row.
+    row = bessel_j_row(n_max, x)
+    for k in range(0, n_max + 1, max(1, n_max // 40)):
+        ref = bessel_mp(k, x)
+        if abs(ref) > 1e-280:
+            assert row[k] == pytest.approx(ref, rel=1e-12)
+        else:
+            assert abs(row[k]) <= 1e-280
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-9, 2.5, 37.3])
+def test_returned_rows_are_read_only(x):
+    # Rows may be shared between callers, so a write must fail, not corrupt them.
+    first = bessel_j_row(30, x)
+    expected = first.copy()
+    with pytest.raises(ValueError):
+        first[0] = 42.0
+    again = bessel_j_row(30, x)
+    assert not again.flags.writeable
+    assert np.array_equal(again, expected)
