@@ -4,7 +4,6 @@ from .core import (
     AggregateDensityMatrix,
     ModelParams,
     OccupationProfile,
-    SiteWindow,
     make_window,
 )
 from .experiments import (

@@ -74,11 +74,11 @@ EVAL_MEASURES = {
     "survival": (("t",), lambda kw: _profile(kw).u.sum()),
     "entropy": (("t",), lambda kw: entropy_report(_profile(kw)).total),
     "entropy_avg": (("t",), lambda kw: entropy_report(_profile(kw)).average),
-    "extended_ref": ((), lambda kw: extended_state_entropy(int(kw.get("N", DEFAULT_BASE["N"])))),
+    "extended_ref": ((), lambda kw: extended_state_entropy(kw.get("N", DEFAULT_BASE["N"]))),
     "ipr": (("t",), lambda kw: ipr(_profile(kw))),
     "site_entropy": (("u",), lambda kw: site_entropy(kw["u"])),
-    "concurrence": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], int(kw["N"])).avg_concurrence),
-    "concurrence_scaled": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], int(kw["N"])).scaled),
+    "concurrence": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], kw["N"]).avg_concurrence),
+    "concurrence_scaled": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], kw["N"]).scaled),
     "spano": (("b",), lambda kw: spano_coherence_size(model_params(kw))),
     "resonance": ((), lambda kw: resonance_coherence_size(kw.get("c", DEFAULT_BASE["c"]))),
     "lambda_max": (("N", "M"), lambda kw: lambda_max(SymmetricState(kw["N"], kw["M"]))),

@@ -1,7 +1,8 @@
-"""Shared value types for the aggregate-dynamics modules.
+"""Shared value types and argument checks for the aggregate-dynamics modules.
 
-Everything here is an immutable record.  Instances carry no hidden state and
-can be shared freely between threads or worker processes.
+Every record is immutable and stores only independent inputs: no field has to
+agree with another field or with an array's shape.  Instances carry no hidden
+state and can be shared freely between threads or worker processes.
 """
 from __future__ import annotations
 
@@ -21,6 +22,14 @@ def check_integer(value, name: str, lo: int | None = None) -> int:
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}")
     return int(value)
+
+
+def check_time(t) -> float:
+    """``t`` as a ``float``; ``ValueError`` unless finite and >= 0."""
+    t = float(t)
+    if not math.isfinite(t) or t < 0:
+        raise ValueError("t must be finite and >= 0")
+    return t
 
 
 @dataclass(frozen=True)
@@ -57,30 +66,22 @@ class ModelParams:
         object.__setattr__(self, "N", check_integer(self.N, "N", 2))
 
 
-@dataclass(frozen=True)
-class SiteWindow:
-    """Contiguous block of observed site indices centred on the initial site 0."""
-
-    N: int
-    indices: tuple[int, ...]
-
-
-def make_window(N: int) -> SiteWindow:
-    """Centred window of ``N`` contiguous sites containing site 0.
+def make_window(N: int) -> range:
+    """Site indices of the centred window of ``N`` contiguous sites containing site 0.
 
     Odd ``N`` spans [-(N-1)/2, (N-1)/2]; even ``N`` spans [-N/2, N/2-1].
     """
     N = check_integer(N, "N", 2)
-    half = N // 2
-    hi = half if N % 2 else half - 1
-    return SiteWindow(N=N, indices=tuple(range(-half, hi + 1)))
+    return range(-(N // 2), N - N // 2)
 
 
 @dataclass(frozen=True)
 class OccupationProfile:
-    """Per-site excitation probabilities over a window at one instant."""
+    """Per-site excitation probabilities at time ``t``.
 
-    window: SiteWindow
+    ``u[i]`` belongs to site ``make_window(len(u))[i]``.
+    """
+
     u: np.ndarray
     t: float
 
@@ -88,8 +89,8 @@ class OccupationProfile:
         u = np.asarray(self.u, dtype=float)
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
-        if u.shape != (self.window.N,):
-            raise ValueError("u must hold one probability per window site")
+        if u.ndim != 1 or u.size < 2:
+            raise ValueError("u must be a vector of at least 2 site probabilities")
         if np.any(u < 0) or np.any(u > 1):
             raise ValueError("occupation probabilities must lie in [0, 1]")
         if float(u.sum()) > 1.0 + OCCUPATION_SUM_EPS:
@@ -98,17 +99,16 @@ class OccupationProfile:
 
 @dataclass(frozen=True)
 class AggregateDensityMatrix:
-    """Site-basis coherence magnitudes |rho_mn| of an N-site aggregate."""
+    """Site-basis coherence magnitudes |rho_mn| of an aggregate; N is ``len(entries)``."""
 
-    N: int
     entries: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        if m.shape != (self.N, self.N):
-            raise ValueError("entries must be an N x N matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("entries must be a square matrix")
         if np.any(m < 0):
             raise ValueError("coherence magnitudes must be nonnegative")
         if not np.array_equal(m, m.T):

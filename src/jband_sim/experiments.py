@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
-from .core import ModelParams
+from .core import ModelParams, check_time
 from .measures import concurrence_vs_size_curve, entropy_report, extended_state_entropy
 from .multipartite import SusceptibilityParams, SymmetricState, chi3_magnitude, geometric_entropy, zeta_ratios
 from .propagator import occupation_profile
@@ -62,9 +62,8 @@ class CsvTable:
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """A bundled study; ``resolve`` returns a copy with a spec's overrides merged in."""
+    """A bundled study, named by its ``EXPERIMENTS`` key; ``resolve`` merges in a spec's overrides."""
 
-    name: str
     kind: str
     description: str
     base: Mapping[str, float]
@@ -78,43 +77,43 @@ _N_GRID = SweepAxis("N", 10, 300, 10)
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
     "fig1a": ExperimentDef(
-        "fig1a", "entropy",
+        "entropy",
         "site entropy versus time for chain lengths N = 200, 100, 50 (a = b = 0, c = 30)",
         {"a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0},
         ({"N": 200}, {"N": 100}, {"N": 50}), _T_GRID),
     "fig1b": ExperimentDef(
-        "fig1b", "entropy",
+        "entropy",
         "site entropy versus chain length at t = 2, 5, 9 (a = b = 0, c = 30)",
         {"a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0},
         ({"t": 2.0}, {"t": 5.0}, {"t": 9.0}), _N_GRID),
     "fig1c": ExperimentDef(
-        "fig1c", "entropy",
+        "entropy",
         "site entropy versus chain length at c = 10, 20, 40 (a = b = 0, t = 2)",
         {"a": 0.0, "b": 0.0, "t_k": 1.0, "t": 2.0},
         ({"c": 10.0}, {"c": 20.0}, {"c": 40.0}), _N_GRID),
     "fig1d": ExperimentDef(
-        "fig1d", "entropy",
+        "entropy",
         "site entropy versus chain length at b = 0, 0.3, 0.5 plus the extended-state "
         "reference (a = 0, c = 30, t = 6)",
         {"a": 0.0, "c": 30.0, "t_k": 1.0, "t": 6.0},
         ({"b": 0.0}, {"b": 0.3}, {"b": 0.5}), _N_GRID, extended_ref=True),
     "fig2a": ExperimentDef(
-        "fig2a", "entropy",
+        "entropy",
         "site entropy versus time at a = 0, 0.3, 0.7, 1.5 (N = 150, b = 0, c = 10)",
         {"b": 0.0, "c": 10.0, "t_k": 1.0, "N": 150},
         ({"a": 0.0}, {"a": 0.3}, {"a": 0.7}, {"a": 1.5}), _T_GRID),
     "fig2b": ExperimentDef(
-        "fig2b", "entropy",
+        "entropy",
         "site entropy versus time at b = 0, 0.5, 1 (N = 100, a = 0, c = 20)",
         {"a": 0.0, "c": 20.0, "t_k": 1.0, "N": 100},
         ({"b": 0.0}, {"b": 0.5}, {"b": 1.0}), _T_GRID),
     "fig2c": ExperimentDef(
-        "fig2c", "entropy",
+        "entropy",
         "site entropy versus time at c = 40, 20, 5 (N = 200, a = 0.5, b = 0.3)",
         {"a": 0.5, "b": 0.3, "t_k": 1.0, "N": 200},
         ({"c": 40.0}, {"c": 20.0}, {"c": 5.0}), _T_GRID),
     "fig3": ExperimentDef(
-        "fig3", "concurrence_vs_N",
+        "concurrence_vs_N",
         "average concurrence versus aggregate size at t_k = 2 for (c, b) in "
         "(15, 0.5), (15, 0.1), (5, 0.5), (5, 0.1)",
         {"a": 0.0, "t_k": 2.0},
@@ -122,17 +121,17 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
          {"c": 5.0, "b": 0.5}, {"c": 5.0, "b": 0.1}),
         SweepAxis("N", 10, 200, 5)),
     "fig4": ExperimentDef(
-        "fig4", "zeta_vs_N",
+        "zeta_vs_N",
         "one- and two-exciton entropy ratios zeta1, zeta2 versus aggregate size",
         {}, ({},), SweepAxis("N", 4, 400, 4)),
     "fig5": ExperimentDef(
-        "fig5", "chi3_vs_N",
+        "chi3_vs_N",
         "reduced third-order susceptibility per monomer versus aggregate size "
         "(mu = 1, gamma = 0.5, delta_e = 3, omega = delta_e / 3)",
         {"mu": 1.0, "gamma": 0.5, "delta_e": 3.0, "omega": 1.0},
         ({},), SweepAxis("N", 4, 400, 4)),
     "custom": ExperimentDef(
-        "custom", "custom",
+        "custom",
         "single-curve entropy study over the configured sweep variable "
         "(defaults: a = 0, b = 0, c = 30, t_k = 1, N = 200, t = 2)",
         dict(DEFAULT_BASE), ({},), _T_GRID),
@@ -210,9 +209,8 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
 
     for curve in curves:
         merged = {**base, **curve, sweep.variable: first}
-        t = merged.get("t")
-        if t is not None and (not math.isfinite(float(t)) or float(t) < 0):
-            raise ValueError("t must be finite and >= 0")
+        if "t" in merged:
+            check_time(merged["t"])
         if kind in ("entropy", "concurrence_vs_N"):
             model_params(merged)
 

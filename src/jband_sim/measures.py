@@ -22,18 +22,16 @@ _COHERENCE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Summed and per-site-averaged site entropy, plus the extended-state reference."""
+    """Summed site entropy of a profile and its average over the window's sites."""
 
     total: float
     average: float
-    extended_ref: float
 
 
 @dataclass(frozen=True)
 class ConcurrenceReport:
-    """Delocalization measure and the pairwise concurrence it implies."""
+    """Average pairwise concurrence implied by a delocalization measure, and N/2 times it."""
 
-    zeta: float
     avg_concurrence: float
     scaled: float
 
@@ -64,9 +62,7 @@ def extended_state_entropy(N: int) -> float:
 def entropy_report(profile: OccupationProfile) -> EntropyReport:
     """Summed and averaged site entropies of a profile."""
     total = float(np.sum(_site_entropies(profile.u)))
-    N = profile.window.N
-    return EntropyReport(total=total, average=total / N,
-                         extended_ref=extended_state_entropy(N))
+    return EntropyReport(total=total, average=total / profile.u.size)
 
 
 def ipr(profile: OccupationProfile) -> float:
@@ -88,7 +84,7 @@ def average_concurrence(zeta: float, N: int) -> ConcurrenceReport:
     if not (1.0 <= zeta <= N):
         raise ValueError("zeta must lie in [1, N]")
     avg = 2.0 * (zeta - 1.0) / (N * (N - 1.0))
-    return ConcurrenceReport(zeta=zeta, avg_concurrence=avg, scaled=avg * N / 2.0)
+    return ConcurrenceReport(avg_concurrence=avg, scaled=avg * N / 2.0)
 
 
 def coherence_size(rho: AggregateDensityMatrix) -> float:
@@ -109,7 +105,7 @@ def coherence_size(rho: AggregateDensityMatrix) -> float:
     if sum_sq == 0.0:
         raise ValueError("density matrix carries no weight")
     total = float(m.sum())
-    return total * total / (rho.N * sum_sq)
+    return total * total / (len(m) * sum_sq)
 
 
 def spano_coherence_size(p: ModelParams) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, OccupationProfile, make_window
+from .core import ModelParams, OccupationProfile, check_time, make_window
 from .specfun import MAX_ORDER, bessel_j, bessel_j_row
 
 
@@ -54,16 +54,9 @@ class DipolePair:
             raise ValueError("d must be positive")
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError("t must be finite and >= 0")
-    return t
-
-
 def transfer_probability(n: int, t: float, p: ModelParams) -> float:
     """Probability that the excitation started at site 0 sits at site n at time t."""
-    t = _check_time(t)
+    t = check_time(t)
     j = bessel_j(n, p.c * t)
     # Grouping keeps the a-dependence an exact scalar factor.
     return math.exp(-p.a * p.a) * (j * j * math.exp(-p.b * p.b * t))
@@ -71,15 +64,14 @@ def transfer_probability(n: int, t: float, p: ModelParams) -> float:
 
 def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:
     """Transfer probabilities over the full centred window at time t."""
-    t = _check_time(t)
+    t = check_time(t)
     if p.N // 2 > MAX_ORDER:
         raise ValueError(f"N must be <= {2 * MAX_ORDER + 1}, the largest window "
                          "inside the Bessel order envelope")
-    window = make_window(p.N)
-    idx = np.abs(np.asarray(window.indices))
-    j = bessel_j_row(int(idx.max()), p.c * t)[idx]
+    idx = np.abs(np.asarray(make_window(p.N)))
+    j = bessel_j_row(p.N // 2, p.c * t)[idx]
     base = j * j * math.exp(-p.b * p.b * t)
-    return OccupationProfile(window=window, u=math.exp(-p.a * p.a) * base, t=t)
+    return OccupationProfile(u=math.exp(-p.a * p.a) * base, t=t)
 
 
 def window_survival(t: float, p: ModelParams) -> float:

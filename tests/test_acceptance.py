@@ -111,9 +111,9 @@ def test_concurrence_and_coherence_endpoints():
         assert average_concurrence(1.0, N).avg_concurrence == 0.0
         assert average_concurrence(float(N), N).avg_concurrence == 2.0 / N
     for N in (2, 3, 16, 101):
-        diag = AggregateDensityMatrix(N=N, entries=np.eye(N) / N)
+        diag = AggregateDensityMatrix(entries=np.eye(N) / N)
         assert coherence_size(diag) == pytest.approx(1.0, rel=1e-12)
-        uniform = AggregateDensityMatrix(N=N, entries=np.full((N, N), 1.0 / N))
+        uniform = AggregateDensityMatrix(entries=np.full((N, N), 1.0 / N))
         assert coherence_size(uniform) == pytest.approx(float(N), rel=1e-12)
 
 

@@ -199,7 +199,6 @@ def test_csv_table_rejects_ragged_rows():
 def test_every_preset_resolves():
     for name in EXPERIMENTS:
         plan = resolve(ExperimentSpec(name))
-        assert plan.name == name
         assert len(sweep_grid(plan.sweep)) >= 2
 
 

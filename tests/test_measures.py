@@ -27,13 +27,12 @@ CONCURRENCE_CHAIN_N100 = 0.009575590154104521
 
 
 def profile_from(u, t=0.0):
-    u = np.asarray(u, dtype=float)
-    return OccupationProfile(window=make_window(len(u)), u=u, t=t)
+    return OccupationProfile(u=u, t=t)
 
 
 def delta_profile(N):
     u = np.zeros(N)
-    u[make_window(N).indices.index(0)] = 1.0
+    u[make_window(N).index(0)] = 1.0
     return profile_from(u)
 
 
@@ -83,7 +82,7 @@ def test_extended_reference_at_two_sites():
 @given(st.integers(min_value=2, max_value=400))
 def test_uniform_profile_average_equals_extended_reference(N):
     report = entropy_report(profile_from(np.full(N, 1.0 / N)))
-    assert report.average == pytest.approx(report.extended_ref, rel=1e-12)
+    assert report.average == pytest.approx(extended_state_entropy(N), rel=1e-12)
     assert report.average == pytest.approx(report.total / N, rel=1e-12)
 
 
@@ -159,24 +158,24 @@ def test_concurrence_is_affine_in_zeta(N, frac):
 
 def test_coherence_size_localized_matrix():
     N = 7
-    rho = AggregateDensityMatrix(N=N, entries=np.eye(N) / N)
+    rho = AggregateDensityMatrix(entries=np.eye(N) / N)
     assert coherence_size(rho) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_coherence_size_uniform_matrix():
     N = 7
-    rho = AggregateDensityMatrix(N=N, entries=np.full((N, N), 1.0 / N))
+    rho = AggregateDensityMatrix(entries=np.full((N, N), 1.0 / N))
     assert coherence_size(rho) == pytest.approx(float(N), rel=1e-12)
 
 
 def test_coherence_size_two_site_example():
-    rho = AggregateDensityMatrix(N=2, entries=np.array([[0.5, 0.25], [0.25, 0.5]]))
+    rho = AggregateDensityMatrix(entries=np.array([[0.5, 0.25], [0.25, 0.5]]))
     assert coherence_size(rho) == pytest.approx(1.8, rel=1e-12)
 
 
 def test_coherence_size_rejects_zero_matrix():
     with pytest.raises(ValueError):
-        coherence_size(AggregateDensityMatrix(N=3, entries=np.zeros((3, 3))))
+        coherence_size(AggregateDensityMatrix(entries=np.zeros((3, 3))))
 
 
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**9),
@@ -190,16 +189,16 @@ def test_coherence_size_bounds(N, seed, density):
     m = rng.uniform(0.0, d, size=(N, N)) * (rng.uniform(size=(N, N)) < density)
     m = 0.5 * (m + m.T)
     np.fill_diagonal(m, d)
-    value = coherence_size(AggregateDensityMatrix(N=N, entries=m))
+    value = coherence_size(AggregateDensityMatrix(entries=m))
     assert 1.0 - 1e-9 <= value <= N + 1e-9
 
 
 def test_coherence_size_rejects_matrices_outside_its_ensemble():
     # diag(0.9, 0.1) would give 0.61, below the promised lower bound of 1.
     with pytest.raises(ValueError, match="uniform"):
-        coherence_size(AggregateDensityMatrix(N=2, entries=np.diag([0.9, 0.1])))
+        coherence_size(AggregateDensityMatrix(entries=np.diag([0.9, 0.1])))
     with pytest.raises(ValueError, match="exceed"):
-        coherence_size(AggregateDensityMatrix(N=2, entries=np.array([[0.2, 0.3], [0.3, 0.2]])))
+        coherence_size(AggregateDensityMatrix(entries=np.array([[0.2, 0.3], [0.3, 0.2]])))
 
 
 def test_spano_reference_values():

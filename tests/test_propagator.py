@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jband_sim.core import ModelParams
+from jband_sim.core import ModelParams, make_window
 from jband_sim.propagator import (
     DipolePair,
     DispersionParams,
@@ -44,7 +44,7 @@ def test_rejects_negative_time():
 
 def test_profile_is_delta_at_start():
     prof = occupation_profile(0.0, params(N=50))
-    origin = prof.window.indices.index(0)
+    origin = make_window(len(prof.u)).index(0)
     assert prof.u[origin] == 1.0
     assert np.all(prof.u[np.arange(50) != origin] == 0.0)
 
@@ -101,9 +101,28 @@ def test_dressing_factorises_exactly(a, n, t):
 @settings(deadline=None, max_examples=40)
 def test_profile_is_mirror_symmetric(t, N):
     prof = occupation_profile(t, params(c=4.0, N=N))
-    idx = dict(zip(prof.window.indices, prof.u))
+    idx = dict(zip(make_window(len(prof.u)), prof.u))
     for n in range(1, N // 2):
         assert idx[n] == idx[-n]
+
+
+@given(st.floats(min_value=0.0, max_value=1.5),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.01, max_value=10.0),
+       st.floats(min_value=0.01, max_value=1000.0))
+@settings(deadline=None, max_examples=40)
+def test_ballistic_second_moment(a, b, t, x):
+    # sum_n n^2 J_n(x)^2 = x^2 / 2, so while the window covers the front the
+    # profile spreads ballistically.  J_n(x) decays past n ~ x over a width
+    # ~ x^(1/3), so the margin grows with it: a margin of 4 x^(1/3) + 10 left
+    # 1.7e-12 of tail at x ~ 1000, 6 x^(1/3) + 10 leaves below 1e-14.
+    c = x / t
+    x = c * t  # the argument the kernel sees
+    margin = math.ceil(6.0 * x ** (1.0 / 3.0)) + 10
+    prof = occupation_profile(t, params(a=a, b=b, c=c, N=2 * (math.ceil(x) + margin) + 1))
+    n = np.asarray(make_window(len(prof.u)), dtype=float)
+    assert float(np.sum(n * n * prof.u)) == \
+        pytest.approx(math.exp(-a * a - b * b * t) * x * x / 2.0, rel=1e-12)
 
 
 def test_damping_is_strictly_monotone_in_b():
@@ -116,7 +135,7 @@ def test_damping_is_strictly_monotone_in_b():
 def test_profile_matches_pointwise_transfer():
     p = params(a=0.3, b=0.2, c=12.0, N=30)
     prof = occupation_profile(1.7, p)
-    for n, u in zip(prof.window.indices, prof.u):
+    for n, u in zip(make_window(len(prof.u)), prof.u):
         assert u == pytest.approx(transfer_probability(n, 1.7, p), abs=1e-10)
 
 
