@@ -20,7 +20,6 @@ from .measures import (
     EntropyReport,
     average_concurrence,
     coherence_size,
-    concurrence_vs_size_curve,
     entropy_report,
     extended_state_entropy,
     ipr,

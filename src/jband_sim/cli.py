@@ -153,9 +153,8 @@ def _cmd_list(args) -> int:
         if labels:
             print(f"  curves: {'; '.join(labels)}")
         axis = definition.sweep
-        grid = sweep_grid(axis)
         print(f"  sweep: {axis.variable} from {axis.start:g} to {axis.stop:g} "
-              f"step {axis.step:g} ({len(grid)} points)")
+              f"step {axis.step:g} ({len(sweep_grid(axis))} points)")
     return EXIT_OK
 
 

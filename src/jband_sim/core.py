@@ -91,7 +91,7 @@ class OccupationProfile:
         object.__setattr__(self, "u", u)
         if u.ndim != 1 or u.size < 2:
             raise ValueError("u must be a vector of at least 2 site probabilities")
-        if np.any(u < 0) or np.any(u > 1):
+        if not np.all((u >= 0) & (u <= 1)):  # NaN fails both comparisons
             raise ValueError("occupation probabilities must lie in [0, 1]")
         if float(u.sum()) > 1.0 + OCCUPATION_SUM_EPS:
             raise ValueError("total occupation probability exceeds unity")
@@ -109,6 +109,8 @@ class AggregateDensityMatrix:
         object.__setattr__(self, "entries", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be a square matrix")
+        if m.size == 0:
+            raise ValueError("entries must not be empty")
         if np.any(m < 0):
             raise ValueError("coherence magnitudes must be nonnegative")
         if not np.array_equal(m, m.T):

@@ -1,9 +1,12 @@
 """Named parameter studies and their tabulated results.
 
-Each preset pins the parameter values of one bundled study; ``run_experiment``
-turns a spec into a deterministic table whose first column is the sweep
-variable.  Entropy studies produce two tables, the summed site entropy and
-its per-site average, exposed via ``run_experiment_outputs``.
+Each preset pins the parameter values of one bundled study, and each study
+kind names a point function: it maps one set of parameter values to the
+measure's values at that point.  One sweep loop evaluates the point function
+for every curve at every grid value and lays the values out as tables whose
+first column is the sweep variable.  Entropy studies produce two tables, the
+summed site entropy and its per-site average, exposed via
+``run_experiment_outputs``; ``run_experiment`` returns the primary table.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 from .core import ModelParams, check_time
-from .measures import concurrence_vs_size_curve, entropy_report, extended_state_entropy
+from .measures import average_concurrence, entropy_report, extended_state_entropy, spano_coherence_size
 from .multipartite import SusceptibilityParams, SymmetricState, chi3_magnitude, geometric_entropy, zeta_ratios
 from .propagator import occupation_profile
 
@@ -151,7 +154,7 @@ def _column(prefix: str, label: str) -> str:
 
 
 def sweep_grid(axis: SweepAxis) -> list[float]:
-    """Materialise the inclusive grid of a sweep axis."""
+    """The inclusive grid of a sweep axis, rounded to integers for N and M."""
     if axis.variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable '{axis.variable}'")
     if not (math.isfinite(axis.step) and axis.step > 0):
@@ -159,12 +162,7 @@ def sweep_grid(axis: SweepAxis) -> list[float]:
     if not (axis.start < axis.stop):
         raise ValueError("sweep start must be < stop")
     count = int(math.floor((axis.stop - axis.start) / axis.step + 1e-9)) + 1
-    return [axis.start + i * axis.step for i in range(count)]
-
-
-def _grid(axis: SweepAxis) -> list:
-    """The sweep grid, rounded to integers for the integer variables N and M."""
-    grid = sweep_grid(axis)
+    grid = [axis.start + i * axis.step for i in range(count)]
     return [int(round(v)) for v in grid] if axis.variable in ("N", "M") else grid
 
 
@@ -188,7 +186,7 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
             raise ValueError(
                 f"experiment '{spec.name}' sweeps '{definition.sweep.variable}', "
                 f"not '{sweep.variable}'")
-    first = _grid(sweep)[0]  # validates the axis
+    first = sweep_grid(sweep)[0]  # validates the axis
 
     if sweep.variable in overrides:
         raise ValueError(
@@ -229,87 +227,80 @@ def model_params(values: Mapping[str, float]) -> ModelParams:
                           for k in ("a", "b", "c", "t_k")})
 
 
-def _build_entropy(plan: ExperimentDef) -> dict[str, CsvTable]:
-    var = plan.sweep.variable
-    total_rows, avg_rows = [], []
-    for x in _grid(plan.sweep):
-        totals, avgs = [float(x)], [float(x)]
-        for curve in plan.curves:
-            merged = {**plan.base, **curve, var: x}
-            report = entropy_report(occupation_profile(merged["t"], model_params(merged)))
-            totals.append(report.total)
-            avgs.append(report.average)
-        if plan.extended_ref:
-            per_site = extended_state_entropy(x)
-            totals.append(x * per_site)
-            avgs.append(per_site)
-        total_rows.append(tuple(totals))
-        avg_rows.append(tuple(avgs))
-    labels = [_curve_label(curve) for curve in plan.curves]
-    names = [_column("S", lab) for lab in labels]
-    avg_names = [_column("S_avg", lab) for lab in labels]
-    if plan.extended_ref:
-        names.append("S_ext")
-        avg_names.append("S_avg_ext")
-    return {
-        "": CsvTable(tuple([var] + names), tuple(total_rows)),
-        "avg": CsvTable(tuple([var] + avg_names), tuple(avg_rows)),
-    }
+def _entropy_point(values: Mapping[str, float]) -> tuple[float, float]:
+    report = entropy_report(occupation_profile(values["t"], model_params(values)))
+    return report.total, report.average
 
 
-def _build_concurrence_vs_N(plan: ExperimentDef) -> dict[str, CsvTable]:
-    grid = _grid(plan.sweep)
-    labels = [_curve_label(curve) for curve in plan.curves]
-    columns = []
-    for curve in plan.curves:
-        p = model_params({**plan.base, **curve, "N": grid[0]})
-        columns.append([value for _, value in concurrence_vs_size_curve(p, grid)])
-    header = tuple(["N"] + [_column("C", lab) for lab in labels])
-    rows = tuple(tuple([float(n)] + [col[i] for col in columns])
-                 for i, n in enumerate(grid))
-    return {"": CsvTable(header, rows)}
+def _extended_point(values: Mapping[str, float]) -> tuple[float, float]:
+    per_site = extended_state_entropy(values["N"])
+    return values["N"] * per_site, per_site
 
 
-def _build_zeta_vs_N(plan: ExperimentDef) -> dict[str, CsvTable]:
-    rows = []
-    for N in _grid(plan.sweep):
-        z1, z2 = zeta_ratios(N)
-        rows.append((float(N), z1, z2))
-    return {"": CsvTable(("N", "zeta1", "zeta2"), tuple(rows))}
+def _concurrence_point(values: Mapping[str, float]) -> tuple[float]:
+    p = model_params(values)
+    # The empirical coherence size is clamped to [1, N] so the concurrence
+    # stays in its physical range at both extremes.
+    zeta = max(1.0, spano_coherence_size(p))
+    return (average_concurrence(zeta, p.N).avg_concurrence,)
 
 
-def _build_chi3_vs_N(plan: ExperimentDef) -> dict[str, CsvTable]:
-    sp = SusceptibilityParams(mu=float(plan.base["mu"]), gamma=float(plan.base["gamma"]),
-                              delta_e=float(plan.base["delta_e"]), omega=float(plan.base["omega"]))
-    rows = []
-    for N in _grid(plan.sweep):
-        reduced = (geometric_entropy(SymmetricState(N, 1))
-                   * geometric_entropy(SymmetricState(N, 2)))
-        rows.append((float(N), reduced, chi3_magnitude(N, sp) / N))
-    return {"": CsvTable(("N", "chi3_reduced", "chi3_over_N"), tuple(rows))}
+def _zeta_point(values: Mapping[str, float]) -> tuple[float, float]:
+    return zeta_ratios(values["N"])
 
 
-def _build_geometric_vs_M(plan: ExperimentDef) -> dict[str, CsvTable]:
-    N = plan.base.get("N", DEFAULT_BASE["N"])
-    rows = []
-    for M in _grid(plan.sweep):
-        rows.append((float(M), geometric_entropy(SymmetricState(N, M))))
-    return {"": CsvTable(("M", "E_geom"), tuple(rows))}
+def _chi3_point(values: Mapping[str, float]) -> tuple[float, float]:
+    N = values["N"]
+    sp = SusceptibilityParams(**{k: float(values[k]) for k in ("mu", "gamma", "delta_e", "omega")})
+    reduced = (geometric_entropy(SymmetricState(N, 1))
+               * geometric_entropy(SymmetricState(N, 2)))
+    return reduced, chi3_magnitude(N, sp) / N
 
 
-_BUILDERS: dict[str, Callable[[ExperimentDef], dict[str, CsvTable]]] = {
-    "entropy": _build_entropy,
-    "concurrence_vs_N": _build_concurrence_vs_N,
-    "zeta_vs_N": _build_zeta_vs_N,
-    "chi3_vs_N": _build_chi3_vs_N,
-    "geometric_vs_M": _build_geometric_vs_M,
+def _geometric_point(values: Mapping[str, float]) -> tuple[float]:
+    return (geometric_entropy(SymmetricState(values["N"], values["M"])),)
+
+
+# kind -> (point function, one (table suffix, column prefix) per returned value)
+_KINDS: dict[str, tuple[Callable, tuple[tuple[str, str], ...]]] = {
+    "entropy": (_entropy_point, (("", "S"), ("avg", "S_avg"))),
+    "concurrence_vs_N": (_concurrence_point, (("", "C"),)),
+    "zeta_vs_N": (_zeta_point, (("", "zeta1"), ("", "zeta2"))),
+    "chi3_vs_N": (_chi3_point, (("", "chi3_reduced"), ("", "chi3_over_N"))),
+    "geometric_vs_M": (_geometric_point, (("", "E_geom"),)),
 }
+
+
+def _build(plan: ExperimentDef) -> dict[str, CsvTable]:
+    point, columns = _KINDS[plan.kind]
+    var = plan.sweep.variable
+    points = [(point, curve) for curve in plan.curves]
+    if plan.extended_ref:
+        points.append((_extended_point, {}))
+    tables = {suffix: [] for suffix, _ in columns}
+    for x in sweep_grid(plan.sweep):
+        rows = {suffix: [float(x)] for suffix in tables}
+        for fn, curve in points:
+            for (suffix, _), value in zip(columns, fn({**plan.base, **curve, var: x})):
+                rows[suffix].append(value)
+        for suffix, row in rows.items():
+            tables[suffix].append(tuple(row))
+    # Labels only after the rows: a point rejects an out-of-range value with a
+    # domain error, where formatting it into a label could overflow.
+    labels = [_curve_label(curve) for curve in plan.curves]
+    if plan.extended_ref:
+        labels.append("ext")
+    headers = {suffix: [var] for suffix in tables}
+    for label in labels:
+        for suffix, prefix in columns:
+            headers[suffix].append(_column(prefix, label))
+    return {suffix: CsvTable(tuple(headers[suffix]), tuple(rows))
+            for suffix, rows in tables.items()}
 
 
 def run_experiment_outputs(spec: ExperimentSpec) -> dict[str, CsvTable]:
     """All tables of a study, keyed by filename suffix ('' is the primary)."""
-    plan = resolve(spec)
-    return _BUILDERS[plan.kind](plan)
+    return _build(resolve(spec))
 
 
 def run_experiment(spec: ExperimentSpec) -> CsvTable:

@@ -7,8 +7,7 @@ different diagnostics are naturally normalised different ways.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,18 +120,3 @@ def resonance_coherence_size(c: float) -> float:
     if not (math.isfinite(c) and c > 0):
         raise ValueError("c must be positive")
     return 4.0 * math.pi * c
-
-
-def concurrence_vs_size_curve(p: ModelParams,
-                              N_range: Iterable[int]) -> list[tuple[int, float]]:
-    """Average concurrence against aggregate size, one point per N.
-
-    The delocalization measure is the empirical coherence size, clamped to
-    [1, N] so the concurrence stays in its physical range at both extremes.
-    """
-    curve = []
-    for N in N_range:
-        pn = replace(p, N=N)
-        zeta = max(1.0, spano_coherence_size(pn))
-        curve.append((pn.N, average_concurrence(zeta, pn.N).avg_concurrence))
-    return curve

@@ -117,8 +117,9 @@ def test_window_properties(N):
 
 
 def test_profile_rejects_out_of_range_probability():
-    with pytest.raises(ValueError):
-        OccupationProfile(u=np.array([0.0, 1.2, 0.0]), t=0.0)
+    for u in ([0.0, 1.2, 0.0], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            OccupationProfile(u=np.array(u), t=0.0)
 
 
 def test_profile_rejects_excess_total():
@@ -160,6 +161,8 @@ def test_density_matrix_rejects_non_square():
         AggregateDensityMatrix(entries=np.full((2, 3), 0.1))
     with pytest.raises(ValueError, match="square"):
         AggregateDensityMatrix(entries=np.full(3, 0.1))
+    with pytest.raises(ValueError, match="empty"):
+        AggregateDensityMatrix(entries=np.zeros((0, 0)))
 
 
 # The public names of the package.  The benchmark's property checks look up
@@ -172,7 +175,7 @@ PUBLIC_NAMES = {
     "ExperimentSpec", "ModelParams", "OccupationProfile", "SusceptibilityParams",
     "SweepAxis", "SymmetricState", "TwoBranchHamiltonian", "average_concurrence",
     "bessel_j", "bessel_j_row", "chi3_magnitude", "coherence_size",
-    "concurrence_vs_size_curve", "coupling_sum_nn", "dipole_coupling", "emit_svg",
+    "coupling_sum_nn", "dipole_coupling", "emit_svg",
     "entropy_report", "exciton_energy", "extended_state_entropy",
     "geometric_entropy", "ipr", "lambda_max", "make_window", "occupation_profile",
     "parse_config", "render_csv", "render_svg", "resonance_coherence_size",

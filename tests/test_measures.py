@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jband_sim.core import AggregateDensityMatrix, ModelParams, OccupationProfile, make_window
+from jband_sim.experiments import ExperimentSpec, SweepAxis, run_experiment
 from jband_sim.measures import (
     average_concurrence,
     coherence_size,
-    concurrence_vs_size_curve,
     entropy_report,
     extended_state_entropy,
     ipr,
@@ -241,18 +241,27 @@ def test_resonance_rejects_nonpositive_rate():
         resonance_coherence_size(0.0)
 
 
+def concurrence_curve(c, b, start, stop, step):
+    """The fig3 study's concurrence column for one (c, b) pair at t_k = 2."""
+    table = run_experiment(ExperimentSpec("fig3", {"c": c, "b": b},
+                                          SweepAxis("N", start, stop, step)))
+    assert table.header[1:] == (f"C_c{c:g}_b{b:g}",)
+    return {int(row[0]): row[1] for row in table.rows}
+
+
 def test_concurrence_curve_reference_point():
-    p = ModelParams(a=0.0, b=0.1, c=15.0, t_k=2.0, N=100)
-    curve = dict(concurrence_vs_size_curve(p, [100]))
+    curve = concurrence_curve(15.0, 0.1, 100, 104, 5)
+    assert list(curve) == [100]
     assert curve[100] == pytest.approx(CONCURRENCE_CHAIN_N100, abs=1e-9)
 
 
 def test_concurrence_curve_decreases_beyond_coherence_size():
-    p = ModelParams(a=0.0, b=0.1, c=15.0, t_k=2.0, N=60)
-    values = [v for _, v in concurrence_vs_size_curve(p, range(60, 201, 5))]
+    values = list(concurrence_curve(15.0, 0.1, 60, 200, 5).values())
+    assert len(values) == 29
     assert all(x > y for x, y in zip(values, values[1:]))
 
 
 def test_concurrence_curve_vanishes_at_strong_coupling():
-    p = ModelParams(a=0.0, b=40.0, c=1.0, t_k=2.0, N=10)
-    assert all(v == 0.0 for _, v in concurrence_vs_size_curve(p, range(10, 101, 10)))
+    values = concurrence_curve(1.0, 40.0, 10, 100, 10).values()
+    assert len(values) == 10
+    assert all(v == 0.0 for v in values)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,7 +72,9 @@ def test_emit_svg_writes_file(tmp_path):
     assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
 
 
-REFERENCE_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "reference_digests.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_DIGESTS = ROOT / "bench" / "reference_digests.json"
+RUN_ALL_FIGURES = ROOT / "scripts" / "run_all_figures.py"
 
 
 def write_config(tmp_path, text):
@@ -124,20 +128,31 @@ def test_cli_huge_integer_n_is_a_domain_error(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
-def test_bundled_studies_match_reference_digests(tmp_path, capsys):
-    # The recorded SHA-256 of every bundled study's CSV and SVG defines "same
-    # behaviour"; the file is only read here.
-    reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["files"]
-    out = tmp_path / "out"
+def write_bundled_with_cli(out, tmp_path, monkeypatch):
     for name in EXPERIMENTS:
         if name == "custom":
             continue
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(f"experiment = {name}\n", encoding="utf-8")
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--svg"]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def write_bundled_with_script(out, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["run_all_figures.py", "--out", str(out)])
+    runpy.run_path(str(RUN_ALL_FIGURES), run_name="__main__")
+
+
+def test_bundled_studies_match_reference_digests(tmp_path, capsys, monkeypatch):
+    # The recorded SHA-256 of every bundled study's CSV and SVG defines "same
+    # behaviour"; the file is only read here.  Both writers of the bundled
+    # outputs, the CLI and scripts/run_all_figures.py, must reproduce it.
+    reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["files"]
     assert len(reference) == 34
-    assert digests == reference
+    for writer in (write_bundled_with_cli, write_bundled_with_script):
+        out = tmp_path / writer.__name__
+        writer(out, tmp_path, monkeypatch)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == reference, writer.__name__
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
