@@ -75,6 +75,17 @@ def make_window(N: int) -> range:
     return range(-(N // 2), N - N // 2)
 
 
+def _check_occupation(u: np.ndarray) -> None:
+    """``ValueError`` unless every entry of ``u`` lies in [0, 1] and no row sums above 1.
+
+    ``u`` is one profile (1-D) or one profile per row (2-D).
+    """
+    if not np.all((u >= 0) & (u <= 1)):  # NaN fails both comparisons
+        raise ValueError("occupation probabilities must lie in [0, 1]")
+    if np.any(u.sum(axis=-1) > 1.0 + OCCUPATION_SUM_EPS):
+        raise ValueError("total occupation probability exceeds unity")
+
+
 @dataclass(frozen=True)
 class OccupationProfile:
     """Per-site excitation probabilities at time ``t``.
@@ -91,10 +102,7 @@ class OccupationProfile:
         object.__setattr__(self, "u", u)
         if u.ndim != 1 or u.size < 2:
             raise ValueError("u must be a vector of at least 2 site probabilities")
-        if not np.all((u >= 0) & (u <= 1)):  # NaN fails both comparisons
-            raise ValueError("occupation probabilities must lie in [0, 1]")
-        if float(u.sum()) > 1.0 + OCCUPATION_SUM_EPS:
-            raise ValueError("total occupation probability exceeds unity")
+        _check_occupation(u)
 
 
 @dataclass(frozen=True)

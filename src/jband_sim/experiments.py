@@ -1,23 +1,26 @@
 """Named parameter studies and their tabulated results.
 
 Each preset pins the parameter values of one bundled study, and each study
-kind names a point function: it maps one set of parameter values to the
-measure's values at that point.  One sweep loop evaluates the point function
-for every curve at every grid value and lays the values out as tables whose
-first column is the sweep variable.  Entropy studies produce two tables, the
-summed site entropy and its per-site average, exposed via
-``run_experiment_outputs``; ``run_experiment`` returns the primary table.
+kind names an evaluator: it maps the parameter values of every point of a
+sweep, grid value by grid value and curve by curve, to the measure's values
+at those points.  Entropy sweeps are evaluated in blocks of points that share
+one chain length; the other kinds map a point function over the points.  One
+sweep loop lays the values out as tables whose first column is the sweep
+variable.  Entropy studies produce two tables, the summed site entropy and
+its per-site average, exposed via ``run_experiment_outputs``;
+``run_experiment`` returns the primary table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
 from .core import ModelParams, check_time
-from .measures import average_concurrence, entropy_report, extended_state_entropy, spano_coherence_size
+from .measures import _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size
 from .multipartite import SusceptibilityParams, SymmetricState, chi3_magnitude, geometric_entropy, zeta_ratios
-from .propagator import occupation_profile
+from .propagator import _check_point, _occupation_block
 
 SWEEP_VARIABLES = ("t", "N", "a", "b", "c", "t_k", "M")
 
@@ -28,6 +31,11 @@ PARAM_KEYS = ("N", "a", "b", "c", "t_k", "t")
 DEFAULT_BASE: Mapping[str, float] = {
     "a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0, "N": 200, "t": 2.0,
 }
+
+# An entropy sweep evaluates its points in blocks of at most this many site
+# probabilities (always at least one row), so its working memory stays a few
+# hundred kilobytes whatever the window size.
+_BLOCK_ELEMENTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -227,9 +235,24 @@ def model_params(values: Mapping[str, float]) -> ModelParams:
                           for k in ("a", "b", "c", "t_k")})
 
 
-def _entropy_point(values: Mapping[str, float]) -> tuple[float, float]:
-    report = entropy_report(occupation_profile(values["t"], model_params(values)))
-    return report.total, report.average
+def _entropy_sweep(points: Iterable[Mapping[str, float]]) -> list[tuple[float, float]]:
+    # Every point is checked, in sweep order, before any block is computed, so
+    # the first point out of the domain names the error.
+    checked = [_check_point(v["t"], model_params(v)) for v in points]
+    by_N: dict[int, list[int]] = {}
+    for k, (_, p) in enumerate(checked):
+        by_N.setdefault(p.N, []).append(k)
+    values: list = [None] * len(checked)
+    for N, ks in by_N.items():
+        # Ordered by c t, points that share a Bessel row fall into one block.
+        ks.sort(key=lambda k: checked[k][1].c * checked[k][0])
+        step = max(1, _BLOCK_ELEMENTS // N)
+        for lo in range(0, len(ks), step):
+            chunk = ks[lo:lo + step]
+            totals = _site_entropies(_occupation_block([checked[k] for k in chunk])).sum(axis=1)
+            for k, total in zip(chunk, totals.tolist()):
+                values[k] = (total, total / N)
+    return values
 
 
 def _extended_point(values: Mapping[str, float]) -> tuple[float, float]:
@@ -261,27 +284,31 @@ def _geometric_point(values: Mapping[str, float]) -> tuple[float]:
     return (geometric_entropy(SymmetricState(values["N"], values["M"])),)
 
 
-# kind -> (point function, one (table suffix, column prefix) per returned value)
+# kind -> (function from a plan's points, in sweep order, to their values,
+#          one (table suffix, column prefix) per value of a point)
 _KINDS: dict[str, tuple[Callable, tuple[tuple[str, str], ...]]] = {
-    "entropy": (_entropy_point, (("", "S"), ("avg", "S_avg"))),
-    "concurrence_vs_N": (_concurrence_point, (("", "C"),)),
-    "zeta_vs_N": (_zeta_point, (("", "zeta1"), ("", "zeta2"))),
-    "chi3_vs_N": (_chi3_point, (("", "chi3_reduced"), ("", "chi3_over_N"))),
-    "geometric_vs_M": (_geometric_point, (("", "E_geom"),)),
+    "entropy": (_entropy_sweep, (("", "S"), ("avg", "S_avg"))),
+    "concurrence_vs_N": (partial(map, _concurrence_point), (("", "C"),)),
+    "zeta_vs_N": (partial(map, _zeta_point), (("", "zeta1"), ("", "zeta2"))),
+    "chi3_vs_N": (partial(map, _chi3_point), (("", "chi3_reduced"), ("", "chi3_over_N"))),
+    "geometric_vs_M": (partial(map, _geometric_point), (("", "E_geom"),)),
 }
 
 
 def _build(plan: ExperimentDef) -> dict[str, CsvTable]:
-    point, columns = _KINDS[plan.kind]
+    evaluate, columns = _KINDS[plan.kind]
     var = plan.sweep.variable
-    points = [(point, curve) for curve in plan.curves]
-    if plan.extended_ref:
-        points.append((_extended_point, {}))
+    grid = sweep_grid(plan.sweep)
+    values = iter(evaluate({**plan.base, **curve, var: x}
+                           for x in grid for curve in plan.curves))
     tables = {suffix: [] for suffix, _ in columns}
-    for x in sweep_grid(plan.sweep):
+    for x in grid:
+        results = [next(values) for _ in plan.curves]
+        if plan.extended_ref:
+            results.append(_extended_point({**plan.base, var: x}))
         rows = {suffix: [float(x)] for suffix in tables}
-        for fn, curve in points:
-            for (suffix, _), value in zip(columns, fn({**plan.base, **curve, var: x})):
+        for result in results:
+            for (suffix, _), value in zip(columns, result):
                 rows[suffix].append(value)
         for suffix, row in rows.items():
             tables[suffix].append(tuple(row))

@@ -7,6 +7,7 @@ different diagnostics are naturally normalised different ways.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,11 @@ def _site_entropies(u: np.ndarray) -> np.ndarray:
 def extended_state_entropy(N: int) -> float:
     """Per-site entropy of the fully extended state on N sites."""
     N = check_integer(N, "N", 2)
+    if N > sys.float_info.max:
+        # N has no float value, and -(1 - 1/N) ln(1 - 1/N) equals 1/N to double
+        # precision; an integer ratio divides exactly, then rounds once.
+        num, den = (math.log(N) + 1.0).as_integer_ratio()
+        return num / (den * N)
     return math.log(N) / N - (1.0 - 1.0 / N) * math.log1p(-1.0 / N)
 
 

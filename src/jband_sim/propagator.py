@@ -11,6 +11,11 @@ in-window probability starts below one; the deficit is the weight carried by
 the phonon-dressed component and is deliberately not renormalised away.
 Temperature does not enter the propagator.
 
+A sweep evaluates its points as blocks: the profiles of many points that
+share one chain length N form the rows of one array, built from one Bessel
+row per distinct c t.  ``occupation_profile`` is the one-point case, so every
+profile comes from the same arithmetic, in the same order.
+
 All functions are pure; independent (site, time) points can be evaluated
 concurrently.
 """
@@ -18,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import ModelParams, OccupationProfile, check_time, make_window
-from .specfun import MAX_ORDER, bessel_j, bessel_j_row
+from .core import ModelParams, OccupationProfile, _check_occupation, check_time, make_window
+from .specfun import MAX_ORDER, _check_row, bessel_j, bessel_j_row
 
 
 @dataclass(frozen=True)
@@ -62,16 +68,42 @@ def transfer_probability(n: int, t: float, p: ModelParams) -> float:
     return math.exp(-p.a * p.a) * (j * j * math.exp(-p.b * p.b * t))
 
 
-def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:
-    """Transfer probabilities over the full centred window at time t."""
+def _check_point(t: float, p: ModelParams) -> tuple[float, ModelParams]:
+    """``(t, p)`` with ``t`` as a float, after every check ``occupation_profile`` makes."""
     t = check_time(t)
     if p.N // 2 > MAX_ORDER:
         raise ValueError(f"N must be <= {2 * MAX_ORDER + 1}, the largest window "
                          "inside the Bessel order envelope")
-    idx = np.abs(np.asarray(make_window(p.N)))
-    j = bessel_j_row(p.N // 2, p.c * t)[idx]
-    base = j * j * math.exp(-p.b * p.b * t)
-    return OccupationProfile(u=math.exp(-p.a * p.a) * base, t=t)
+    _check_row(p.N // 2, p.c * t)
+    return t, p
+
+
+def _occupation_block(points: Sequence[tuple[float, ModelParams]]) -> np.ndarray:
+    """Transfer probabilities of checked ``(t, p)`` points that share one ``N``.
+
+    Row ``k`` is the profile of ``points[k]``; points with equal ``c t`` share
+    one Bessel row.  The block is C-ordered, so a sum along its last axis adds
+    each row in the order a sum over one profile does.
+    """
+    N = points[0][1].N
+    xs = [p.c * t for t, p in points]
+    distinct = {x: k for k, x in enumerate(dict.fromkeys(xs))}
+    rows = np.array([bessel_j_row(N // 2, x) for x in distinct])
+    # np.take keeps C order, where rows[:, idx] would give a Fortran-ordered block.
+    window = np.take(rows, np.abs(np.asarray(make_window(N))), axis=1)
+    j = window[[distinct[x] for x in xs]]
+    decay = np.array([[math.exp(-p.b * p.b * t)] for t, p in points])
+    dressing = np.array([[math.exp(-p.a * p.a)] for _, p in points])
+    # Grouping keeps the a-dependence an exact scalar factor of each row.
+    u = dressing * ((j * j) * decay)
+    _check_occupation(u)
+    return u
+
+
+def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:
+    """Transfer probabilities over the full centred window at time t."""
+    t, p = _check_point(t, p)
+    return OccupationProfile(u=_occupation_block([(t, p)])[0], t=t)
 
 
 def window_survival(t: float, p: ModelParams) -> float:

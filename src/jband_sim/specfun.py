@@ -10,14 +10,13 @@ which stays stable for the large orders (hundreds) and large arguments
 (several hundred) that full-window sweeps require.  The recurrence runs on
 Python floats, which round exactly as numpy's float64 does.
 
-All functions are pure.  Every row returned is read-only, and up to 8 recent
-recurrence rows are kept and handed out again: a sweep that varies only the
-dressing ``a`` or the decoherence ``b`` asks for the same ``(n_max, x)`` row
-once per curve.
+All functions are pure and keep no state between calls; every row returned is
+a new read-only array.  Callers that need one row for several points, such as
+curves that differ only in the dressing ``a`` or the decoherence ``b``, ask
+for it once and share it themselves.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -38,15 +37,6 @@ MAX_ORDER = 2000
 MAX_ARGUMENT = 1000.0
 
 
-def _check_argument(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return x
-
-
 def _row_series(n_max: int, x: float) -> np.ndarray:
     # J_n(x) ~ (x/2)^n / n! * (1 - (x/2)^2 / (n+1)), evaluated in log space.
     out = np.zeros(n_max + 1)
@@ -63,18 +53,28 @@ def _row_series(n_max: int, x: float) -> np.ndarray:
     return out
 
 
+def _check_row(n_max: int, x: float) -> tuple[int, float]:
+    """``(n_max, x)`` as ``(int, float)``; ``ValueError`` outside the envelope."""
+    n_max = check_integer(n_max, "n_max", 0)
+    if n_max > MAX_ORDER:
+        raise ValueError(f"n_max must be <= {MAX_ORDER}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    if x > MAX_ARGUMENT:
+        raise ValueError(f"x must be <= {MAX_ARGUMENT:g}")
+    return n_max, x
+
+
 def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     """Evaluate J_0(x) .. J_{n_max}(x) in one downward recurrence pass.
 
     Requires ``n_max <= MAX_ORDER`` and ``x <= MAX_ARGUMENT``.  The returned
-    array is read-only; equal arguments may return the same array.
+    array is read-only.
     """
-    n_max = check_integer(n_max, "n_max", 0)
-    if n_max > MAX_ORDER:
-        raise ValueError(f"n_max must be <= {MAX_ORDER}")
-    x = _check_argument(x)
-    if x > MAX_ARGUMENT:
-        raise ValueError(f"x must be <= {MAX_ARGUMENT:g}")
+    n_max, x = _check_row(n_max, x)
     if x < _SERIES_CUTOFF:
         row = _row_series(n_max, x)
         row.setflags(write=False)
@@ -82,8 +82,6 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     return _row_recurrence(n_max, x)
 
 
-# Eight rows of at most MAX_ORDER + 1 floats (16 KB each) stay resident.
-@functools.lru_cache(maxsize=8)
 def _row_recurrence(n_max: int, x: float) -> np.ndarray:
     start = n_max + math.ceil(1.5 * x) + _ORDER_MARGIN
     # f[start], f[start - 1], ...; the seed order exceeds x, where J is

@@ -1,20 +1,26 @@
 import math
 
+import numpy as np
 import pytest
 
+from jband_sim import experiments
 from jband_sim.config import ConfigError, parse_config
+from jband_sim.core import make_window
 from jband_sim.experiments import (
     EXPERIMENTS,
     CsvTable,
     ExperimentSpec,
     SweepAxis,
+    model_params,
     resolve,
     run_experiment,
     run_experiment_outputs,
     sweep_grid,
 )
-from jband_sim.measures import extended_state_entropy
+from jband_sim.measures import entropy_report, extended_state_entropy
 from jband_sim.output import render_csv
+from jband_sim.propagator import occupation_profile
+from jband_sim.specfun import bessel_j_row
 
 PLATEAU = 2.0 - math.log(2.0)
 
@@ -235,3 +241,68 @@ def test_preset_defaults_match_pinned_table(name):
         assert definition.base[key] == value
     assert definition.curves == curves
     assert definition.sweep.variable == sweep_var
+
+
+def point_profile(t, p):
+    # The one-point formula that entropy sweeps evaluated before they were
+    # computed in blocks; kept here as the reference.
+    j = bessel_j_row(p.N // 2, p.c * t)[np.abs(np.asarray(make_window(p.N)))]
+    return math.exp(-p.a * p.a) * (j * j * math.exp(-p.b * p.b * t))
+
+
+def point_by_point_tables(spec):
+    """The entropy tables of ``spec``, one ``entropy_report`` per point."""
+    plan = resolve(spec)
+    var = plan.sweep.variable
+    totals, averages = [], []
+    for x in sweep_grid(plan.sweep):
+        total, average = [float(x)], [float(x)]
+        for curve in plan.curves:
+            values = {**plan.base, **curve, var: x}
+            t, p = values["t"], model_params(values)
+            profile = occupation_profile(t, p)
+            assert profile.u.tobytes() == point_profile(float(t), p).tobytes()
+            report = entropy_report(profile)
+            total.append(report.total)
+            average.append(report.average)
+        if plan.extended_ref:
+            per_site = extended_state_entropy(x)
+            total.append(x * per_site)
+            average.append(per_site)
+        totals.append(tuple(total))
+        averages.append(tuple(average))
+    return {"": totals, "avg": averages}
+
+
+# 23 grid points: not a multiple of the rows per block at N = 201 or 2000.
+# The t sweeps start at c t = 0 (the series path); the a and b sweeps keep
+# c t fixed, so all their points share one Bessel row.
+EQUIVALENCE_SWEEPS = {
+    "t": ({"a": 0.3, "b": 0.2, "c": 25.0}, SweepAxis("t", 0.0, 2.2, 0.1)),
+    "a": ({"b": 0.2, "c": 25.0, "t": 1.5}, SweepAxis("a", 0.0, 1.1, 0.05)),
+    "b": ({"a": 0.3, "c": 25.0, "t": 1.5}, SweepAxis("b", 0.0, 1.1, 0.05)),
+    "c": ({"a": 0.3, "b": 0.2, "t": 1.3}, SweepAxis("c", 1.0, 45.0, 2.0)),
+}
+
+
+def equivalence_specs():
+    for var, (params, axis) in EQUIVALENCE_SWEEPS.items():
+        # N = 2000 sums rows long enough that a strided sum would round differently.
+        for N in (2000, 201, 150):
+            yield pytest.param(ExperimentSpec("custom", {**params, "N": N}, axis), id=f"{var}-N{N}")
+    # Curves sharing c t at every grid value (fig2a), c t repeating across grid
+    # values (fig2c), one block per N (fig1a), an N sweep with its reference (fig1d).
+    yield pytest.param(ExperimentSpec("fig2a", sweep=SweepAxis("t", 0.0, 1.1, 0.05)), id="fig2a")
+    yield pytest.param(ExperimentSpec("fig2c", sweep=SweepAxis("t", 0.0, 2.2, 0.1)), id="fig2c")
+    yield pytest.param(ExperimentSpec("fig1a", sweep=SweepAxis("t", 0.0, 2.2, 0.1)), id="fig1a")
+    yield pytest.param(ExperimentSpec("fig1d", sweep=SweepAxis("N", 2, 90, 4)), id="fig1d")
+
+
+@pytest.mark.parametrize("spec", equivalence_specs())
+def test_entropy_sweep_equals_point_by_point(spec, monkeypatch):
+    expected = point_by_point_tables(spec)
+    # One row per block, the default blocks, and the whole sweep as one block.
+    for cap in (1, experiments._BLOCK_ELEMENTS, 10**9):
+        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", cap)
+        tables = run_experiment_outputs(spec)
+        assert {suffix: list(table.rows) for suffix, table in tables.items()} == expected, cap

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,20 @@ def test_entropy_of_half_filled_pair():
 
 def test_extended_reference_at_two_sites():
     assert extended_state_entropy(2) == pytest.approx(math.log(2), abs=1e-15)
+
+
+@pytest.mark.parametrize("N", [10**300, 2**1024 - 1, 2**1024, 2**1030, 10**310, 10**320, 10**400],
+                         ids=["1e300", "2^1024-1", "2^1024", "2^1030", "1e310", "1e320", "1e400"])
+def test_extended_reference_beyond_the_float_range(N):
+    # An integer N with no float value still gets the per-site entropy, not an
+    # OverflowError; the oracle is the same formula at 50 digits.
+    with mpmath.workdps(50):
+        inv = mpmath.mpf(1) / N
+        expected = float(mpmath.log(N) * inv - (1 - inv) * mpmath.log1p(-inv))
+    value = extended_state_entropy(N)
+    assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+    if N == 10**400:
+        assert value == 0.0  # about 9e-398, below the smallest subnormal
 
 
 @given(st.integers(min_value=2, max_value=400))

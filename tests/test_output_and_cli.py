@@ -128,6 +128,27 @@ def test_cli_huge_integer_n_is_a_domain_error(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+X_ENVELOPE = "domain error: x must be <= 1000\n"
+N_ENVELOPE = "domain error: N must be <= 4001, the largest window inside the Bessel order envelope\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # c t passes 1000 at t = 10.05, after 201 good points.
+    ("experiment = custom\nc = 100\nsweep_stop = 20\n", X_ENVELOPE),
+    # The window crosses the order envelope at N = 4050, after two good N.
+    ("experiment = fig1b\nsweep_start = 3950\nsweep_stop = 4100\nsweep_step = 50\n", N_ENVELOPE),
+    # The t = 9 curve leaves the x envelope at the first N, the t = 2 curve
+    # leaves the order envelope at a later N: grid order decides, then curve order.
+    ("experiment = fig1b\nc = 150\nsweep_start = 3950\nsweep_stop = 4100\nsweep_step = 50\n",
+     X_ENVELOPE),
+], ids=["x-mid-sweep", "N-mid-sweep", "first-point-wins"])
+def test_cli_sweep_error_names_the_first_failing_point(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, text + f"out = {tmp_path / 'data'}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "data").exists()
+
+
 def write_bundled_with_cli(out, tmp_path, monkeypatch):
     for name in EXPERIMENTS:
         if name == "custom":
