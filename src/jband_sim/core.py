@@ -3,13 +3,18 @@
 Every record is immutable and stores only independent inputs: no field has to
 agree with another field or with an array's shape.  Instances carry no hidden
 state and can be shared freely between threads or worker processes.
+
+Only the array records need numpy, and they import it when the first one is
+built, so the scalar records and checks load without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Floating-point guard on the total in-window occupation probability.
 OCCUPATION_SUM_EPS = 1e-9
@@ -80,9 +85,9 @@ def _check_occupation(u: np.ndarray) -> None:
 
     ``u`` is one profile (1-D) or one profile per row (2-D).
     """
-    if not np.all((u >= 0) & (u <= 1)):  # NaN fails both comparisons
+    if not ((u >= 0) & (u <= 1)).all():  # NaN fails both comparisons
         raise ValueError("occupation probabilities must lie in [0, 1]")
-    if np.any(u.sum(axis=-1) > 1.0 + OCCUPATION_SUM_EPS):
+    if (u.sum(axis=-1) > 1.0 + OCCUPATION_SUM_EPS).any():
         raise ValueError("total occupation probability exceeds unity")
 
 
@@ -97,6 +102,8 @@ class OccupationProfile:
     t: float
 
     def __post_init__(self):
+        import numpy as np
+
         u = np.asarray(self.u, dtype=float)
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
@@ -112,6 +119,8 @@ class AggregateDensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.asarray(self.entries, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)

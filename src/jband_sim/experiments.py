@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
 from .core import ModelParams, check_time
@@ -243,12 +244,24 @@ def _entropy_sweep(points: Iterable[Mapping[str, float]]) -> list[tuple[float, f
     for k, (_, p) in enumerate(checked):
         by_N.setdefault(p.N, []).append(k)
     values: list = [None] * len(checked)
+
+    def ct(k):
+        return checked[k][1].c * checked[k][0]
+
     for N, ks in by_N.items():
-        # Ordered by c t, points that share a Bessel row fall into one block.
-        ks.sort(key=lambda k: checked[k][1].c * checked[k][0])
+        # Ordered by c t, points that share a Bessel row are adjacent.  A block
+        # never splits a run that fits in one, so its row is computed once; a
+        # longer run is cut into full blocks of its own, one row each.
+        ks.sort(key=ct)
         step = max(1, _BLOCK_ELEMENTS // N)
-        for lo in range(0, len(ks), step):
-            chunk = ks[lo:lo + step]
+        chunks = [[]]
+        for _, run in groupby(ks, key=ct):
+            run = list(run)
+            if len(chunks[-1]) + len(run) > step:
+                chunks += [run[lo:lo + step] for lo in range(0, len(run), step)]
+            else:
+                chunks[-1] += run
+        for chunk in filter(None, chunks):
             totals = _site_entropies(_occupation_block([checked[k] for k in chunk])).sum(axis=1)
             for k, total in zip(chunk, totals.tolist()):
                 values[k] = (total, total / N)

@@ -9,10 +9,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import AggregateDensityMatrix, ModelParams, OccupationProfile, check_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Prefactor of the empirical coherence-size relation.
 SPANO_COEFFICIENT = 2.16
@@ -46,6 +48,8 @@ def site_entropy(u: float) -> float:
 
 
 def _site_entropies(u: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros_like(u)
     inner = (u > 0.0) & (u < 1.0)
     v = u[inner]
@@ -66,7 +70,7 @@ def extended_state_entropy(N: int) -> float:
 
 def entropy_report(profile: OccupationProfile) -> EntropyReport:
     """Summed and averaged site entropies of a profile."""
-    total = float(np.sum(_site_entropies(profile.u)))
+    total = float(_site_entropies(profile.u).sum())
     return EntropyReport(total=total, average=total / profile.u.size)
 
 
@@ -80,7 +84,7 @@ def ipr(profile: OccupationProfile) -> float:
     if s <= 0.0:
         raise ValueError("profile carries no occupation")
     w = profile.u / s
-    return 1.0 / float(np.dot(w, w))
+    return 1.0 / float(w.dot(w))
 
 
 def average_concurrence(zeta: float, N: int) -> ConcurrenceReport:
@@ -102,11 +106,11 @@ def coherence_size(rho: AggregateDensityMatrix) -> float:
     m = rho.entries
     d = float(m[0, 0])
     tol = _COHERENCE_RTOL * d
-    if np.any(np.abs(np.diagonal(m) - d) > tol):
+    if (abs(m.diagonal() - d) > tol).any():
         raise ValueError("diagonal probabilities must be uniform")
-    if np.any(m > d + tol):
+    if (m > d + tol).any():
         raise ValueError("coherence magnitudes must not exceed the diagonal")
-    sum_sq = float(np.sum(m * m))
+    sum_sq = float((m * m).sum())
     if sum_sq == 0.0:
         raise ValueError("density matrix carries no weight")
     total = float(m.sum())

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import ModelParams, OccupationProfile, _check_occupation, check_time, make_window
 from .specfun import MAX_ORDER, _check_row, bessel_j, bessel_j_row
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,8 @@ def _occupation_block(points: Sequence[tuple[float, ModelParams]]) -> np.ndarray
     one Bessel row.  The block is C-ordered, so a sum along its last axis adds
     each row in the order a sum over one profile does.
     """
+    import numpy as np
+
     N = points[0][1].N
     xs = [p.c * t for t, p in points]
     distinct = {x: k for k, x in enumerate(dict.fromkeys(xs))}

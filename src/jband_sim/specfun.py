@@ -10,6 +10,13 @@ which stays stable for the large orders (hundreds) and large arguments
 (several hundred) that full-window sweeps require.  The recurrence runs on
 Python floats, which round exactly as numpy's float64 does.
 
+One descent serves both entry points; they differ only in how they sum the
+squares for the norm.  ``bessel_j_row`` sums them with numpy's ``dot``, so
+every row it returns, and every profile and table built from rows, keeps its
+bits.  ``bessel_j`` needs one order, not a row, so it sums the same squares
+with ``math.fsum`` and never imports numpy; its value lies within 2 ulp of
+the row's entry for that order.
+
 All functions are pure and keep no state between calls; every row returned is
 a new read-only array.  Callers that need one row for several points, such as
 curves that differ only in the dressing ``a`` or the decoherence ``b``, ask
@@ -18,10 +25,12 @@ for it once and share it themselves.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import check_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Start the descent this far above the requested order; the margin keeps the
 # truncation contamination far below the 1e-10 accuracy target.
@@ -37,20 +46,36 @@ MAX_ORDER = 2000
 MAX_ARGUMENT = 1000.0
 
 
-def _row_series(n_max: int, x: float) -> np.ndarray:
+def _series_term(n: int, x: float) -> float:
     # J_n(x) ~ (x/2)^n / n! * (1 - (x/2)^2 / (n+1)), evaluated in log space.
-    out = np.zeros(n_max + 1)
+    # The log term falls with n, so once it underflows every higher order does.
     h = 0.5 * x
     if h == 0.0:
-        out[0] = 1.0
-        return out
-    log_h = math.log(h)
-    for n in range(n_max + 1):
-        log_term = n * log_h - math.lgamma(n + 1)
-        if log_term < -745.0:
-            break
-        out[n] = math.exp(log_term) * (1.0 - h * h / (n + 1))
-    return out
+        return 1.0 if n == 0 else 0.0
+    log_term = n * math.log(h) - math.lgamma(n + 1)
+    if log_term < -745.0:
+        return 0.0
+    return math.exp(log_term) * (1.0 - h * h / (n + 1))
+
+
+def _descent(n_max: int, x: float) -> list[float]:
+    """Unnormalised J_0(x), J_1(x), ... from a recurrence started well above ``n_max``."""
+    start = n_max + math.ceil(1.5 * x) + _ORDER_MARGIN
+    # f[start], f[start - 1], ...; the seed order exceeds x, where J is
+    # positive, so the hidden proportionality constant is positive and no
+    # sign fix is needed.
+    f = [0.0, 1e-30]
+    hi, lo = f
+    for n in range(start - 1, 0, -1):
+        v = (2.0 * n / x) * lo - hi
+        if v > _RESCALE_LIMIT or v < -_RESCALE_LIMIT:
+            f = [r * _RESCALE for r in f]
+            lo *= _RESCALE
+            v *= _RESCALE
+        f.append(v)
+        hi, lo = lo, v
+    f.reverse()
+    return f
 
 
 def _check_row(n_max: int, x: float) -> tuple[int, float]:
@@ -74,33 +99,20 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     Requires ``n_max <= MAX_ORDER`` and ``x <= MAX_ARGUMENT``.  The returned
     array is read-only.
     """
+    import numpy as np
+
     n_max, x = _check_row(n_max, x)
     if x < _SERIES_CUTOFF:
-        row = _row_series(n_max, x)
-        row.setflags(write=False)
-        return row
-    return _row_recurrence(n_max, x)
-
-
-def _row_recurrence(n_max: int, x: float) -> np.ndarray:
-    start = n_max + math.ceil(1.5 * x) + _ORDER_MARGIN
-    # f[start], f[start - 1], ...; the seed order exceeds x, where J is
-    # positive, so the hidden proportionality constant is positive and no
-    # sign fix is needed.
-    f = [0.0, 1e-30]
-    hi, lo = f
-    for n in range(start - 1, 0, -1):
-        v = (2.0 * n / x) * lo - hi
-        if v > _RESCALE_LIMIT or v < -_RESCALE_LIMIT:
-            f = [r * _RESCALE for r in f]
-            lo *= _RESCALE
-            v *= _RESCALE
-        f.append(v)
-        hi, lo = lo, v
-    f.reverse()
-    f = np.array(f)
-    norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
-    row = f[: n_max + 1] / norm
+        row = np.zeros(n_max + 1)
+        for n in range(n_max + 1):
+            term = _series_term(n, x)
+            if term == 0.0:
+                break
+            row[n] = term
+    else:
+        f = np.array(_descent(n_max, x))
+        norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
+        row = f[: n_max + 1] / norm
     row.setflags(write=False)
     return row
 
@@ -112,7 +124,12 @@ def bessel_j(n: int, x: float) -> float:
     orders and arguments are rejected.
     """
     n = check_integer(n, "n")
-    value = float(bessel_j_row(abs(n), x)[abs(n)])
+    order, x = _check_row(abs(n), x)
+    if x < _SERIES_CUTOFF:
+        value = _series_term(order, x)
+    else:
+        f = _descent(order, x)
+        value = f[order] / math.sqrt(f[0] * f[0] + 2.0 * math.fsum(v * v for v in f[1:]))
     if n < 0 and n % 2:
         return -value
     return value

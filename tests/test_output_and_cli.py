@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -235,3 +237,46 @@ def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["run"])  # --config is required
     assert err.value.code == 1
+
+
+# Every eval measure that needs no array, with the Bessel recurrence and series paths.
+SCALAR_EVALS = [
+    ("spano", "c=15", "b=0.5", "t_k=2"), ("chi3", "N=40"), ("zeta1", "N=30"), ("zeta2", "N=30"),
+    ("geometric_entropy", "N=20", "M=3"), ("lambda_max", "N=20", "M=3"),
+    ("bessel", "n=500", "x=477.5"), ("bessel", "n=-3", "x=1e-9"),
+    ("transfer", "n=4", "t=2", "c=3"), ("concurrence", "zeta=3", "N=20"),
+    ("extended_ref", "N=50"), ("resonance",), ("site_entropy", "u=0.2"),
+    ("exciton_energy", "k=0.5", "delta_e=2", "d_shift=0", "v=-0.2"),
+    ("dipole", "mu_i=1", "mu_j=1", "d=2"), ("coupling_nn", "v=0.3", "k=1"),
+]
+
+
+def test_scalar_evals_do_not_import_numpy():
+    # numpy's import is most of a cold eval, so only the measures that build
+    # arrays may load it.  A fresh interpreter starts without it.
+    script = f"""
+import sys
+import jband_sim
+assert not hasattr(jband_sim, "no_such_name")
+assert "numpy" not in sys.modules, "import jband_sim"
+# A submodule is a package attribute after a bare import, as with eager imports.
+assert "fig1a" in jband_sim.experiments.EXPERIMENTS
+assert "numpy" not in sys.modules, "jband_sim.experiments"
+from jband_sim import cli
+for argv in {SCALAR_EVALS!r}:
+    assert cli.main(["eval", *argv]) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert cli.main(["eval", "entropy", "t=2", "N=100"]) == 0
+assert "numpy" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # The console entry point itself, as a cold `jband-sim eval` runs it.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "jband_sim.cli",
+                           "eval", "spano", "c=15", "b=0.5", "t_k=2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "jband_sim.experiments" in imported and "numpy" not in imported
