@@ -6,6 +6,14 @@ Subcommands:
     eval  -- evaluate one scalar measure from key=value arguments
 
 Exit codes: 0 success, 1 configuration error, 2 domain error, 3 I/O error.
+
+Importing this module loads only what every subcommand shares: argparse and
+``config``, which defines ``ConfigError``.  Every other helper binds on first
+access (PEP 562), so a cold ``eval`` loads ``output`` for its number format,
+``core`` and the module that defines its measure, and ``run`` and ``list``
+load ``experiments`` and ``output`` when they are called.  The commands read
+each helper as an attribute of this module, so a function set on the module
+(``cli.parse_config = ...``) is the one they call.
 """
 from __future__ import annotations
 
@@ -14,40 +22,43 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .experiments import DEFAULT_BASE, EXPERIMENTS, model_params, run_experiment_outputs, sweep_grid
-from .measures import (
-    average_concurrence,
-    extended_state_entropy,
-    entropy_report,
-    ipr,
-    resonance_coherence_size,
-    site_entropy,
-    spano_coherence_size,
-)
-from .multipartite import (
-    SusceptibilityParams,
-    SymmetricState,
-    chi3_magnitude,
-    coupling_sum_nn,
-    geometric_entropy,
-    lambda_max,
-    zeta_ratios,
-)
-from .output import emit_svg, format_number, write_csv
-from .propagator import (
-    DipolePair,
-    DispersionParams,
-    dipole_coupling,
-    exciton_energy,
-    occupation_profile,
-    transfer_probability,
-)
-from .specfun import bessel_j
 
 EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO = 0, 1, 2, 3
 
 #: ``eval`` keys that count sites, orders or excitations.
 _INT_KEYS = ("n", "N", "M")
+
+
+# submodule -> the helpers the commands call from it
+_HELPERS = {
+    "core": ("DEFAULT_BASE", "model_params"),
+    "experiments": ("EXPERIMENTS", "run_experiment_outputs", "sweep_grid"),
+    "measures": ("average_concurrence", "entropy_report", "extended_state_entropy", "ipr",
+                 "resonance_coherence_size", "site_entropy", "spano_coherence_size"),
+    "multipartite": ("SusceptibilityParams", "SymmetricState", "chi3_magnitude", "coupling_sum_nn",
+                     "geometric_entropy", "lambda_max", "zeta_ratios"),
+    "output": ("emit_svg", "format_number", "write_csv"),
+    "propagator": ("DipolePair", "DispersionParams", "dipole_coupling", "exciton_energy",
+                   "occupation_profile", "transfer_probability"),
+    "specfun": ("bessel_j",),
+}
+_MODULE_OF = {name: module for module, names in _HELPERS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The builtin __import__, unlike importlib.import_module, is timed by
+    # ``python -X importtime``, so a cold eval's import list stays complete.
+    value = getattr(__import__(f"{__package__}.{module}", fromlist=(name,)), name)
+    globals()[name] = value
+    return value
+
+
+# This module as an object (also when run as ``__main__``).  A helper read
+# through it loads on first use; a plain global name would not.
+_cli = sys.modules[__name__]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,39 +69,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _profile(kw: dict):
-    return occupation_profile(kw["t"], model_params(kw))
+    return _cli.occupation_profile(kw["t"], _cli.model_params(kw))
 
 
-def _susceptibility_from(kw: dict) -> SusceptibilityParams:
-    return SusceptibilityParams(mu=kw.get("mu", 1.0), gamma=kw.get("gamma", 0.5),
-                                delta_e=kw.get("delta_e", 3.0),
-                                omega=kw.get("omega", 1.0))
+def _susceptibility_from(kw: dict):
+    return _cli.SusceptibilityParams(mu=kw.get("mu", 1.0), gamma=kw.get("gamma", 0.5),
+                                     delta_e=kw.get("delta_e", 3.0),
+                                     omega=kw.get("omega", 1.0))
 
 
 # measure name -> (required keys, evaluator over the parsed key/value dict)
 EVAL_MEASURES = {
-    "bessel": (("n", "x"), lambda kw: bessel_j(kw["n"], kw["x"])),
-    "transfer": (("n", "t"), lambda kw: transfer_probability(kw["n"], kw["t"], model_params(kw))),
+    "bessel": (("n", "x"), lambda kw: _cli.bessel_j(kw["n"], kw["x"])),
+    "transfer": (("n", "t"),
+                 lambda kw: _cli.transfer_probability(kw["n"], kw["t"], _cli.model_params(kw))),
     "survival": (("t",), lambda kw: _profile(kw).u.sum()),
-    "entropy": (("t",), lambda kw: entropy_report(_profile(kw)).total),
-    "entropy_avg": (("t",), lambda kw: entropy_report(_profile(kw)).average),
-    "extended_ref": ((), lambda kw: extended_state_entropy(kw.get("N", DEFAULT_BASE["N"]))),
-    "ipr": (("t",), lambda kw: ipr(_profile(kw))),
-    "site_entropy": (("u",), lambda kw: site_entropy(kw["u"])),
-    "concurrence": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], kw["N"]).avg_concurrence),
-    "concurrence_scaled": (("zeta", "N"), lambda kw: average_concurrence(kw["zeta"], kw["N"]).scaled),
-    "spano": (("b",), lambda kw: spano_coherence_size(model_params(kw))),
-    "resonance": ((), lambda kw: resonance_coherence_size(kw.get("c", DEFAULT_BASE["c"]))),
-    "lambda_max": (("N", "M"), lambda kw: lambda_max(SymmetricState(kw["N"], kw["M"]))),
-    "geometric_entropy": (("N", "M"), lambda kw: geometric_entropy(SymmetricState(kw["N"], kw["M"]))),
-    "zeta1": (("N",), lambda kw: zeta_ratios(kw["N"])[0]),
-    "zeta2": (("N",), lambda kw: zeta_ratios(kw["N"])[1]),
-    "chi3": (("N",), lambda kw: chi3_magnitude(kw["N"], _susceptibility_from(kw))),
+    "entropy": (("t",), lambda kw: _cli.entropy_report(_profile(kw)).total),
+    "entropy_avg": (("t",), lambda kw: _cli.entropy_report(_profile(kw)).average),
+    "extended_ref": ((), lambda kw: _cli.extended_state_entropy(kw.get("N", _cli.DEFAULT_BASE["N"]))),
+    "ipr": (("t",), lambda kw: _cli.ipr(_profile(kw))),
+    "site_entropy": (("u",), lambda kw: _cli.site_entropy(kw["u"])),
+    "concurrence": (("zeta", "N"),
+                    lambda kw: _cli.average_concurrence(kw["zeta"], kw["N"]).avg_concurrence),
+    "concurrence_scaled": (("zeta", "N"),
+                           lambda kw: _cli.average_concurrence(kw["zeta"], kw["N"]).scaled),
+    "spano": (("b",), lambda kw: _cli.spano_coherence_size(_cli.model_params(kw))),
+    "resonance": ((), lambda kw: _cli.resonance_coherence_size(kw.get("c", _cli.DEFAULT_BASE["c"]))),
+    "lambda_max": (("N", "M"), lambda kw: _cli.lambda_max(_cli.SymmetricState(kw["N"], kw["M"]))),
+    "geometric_entropy": (("N", "M"),
+                          lambda kw: _cli.geometric_entropy(_cli.SymmetricState(kw["N"], kw["M"]))),
+    "zeta1": (("N",), lambda kw: _cli.zeta_ratios(kw["N"])[0]),
+    "zeta2": (("N",), lambda kw: _cli.zeta_ratios(kw["N"])[1]),
+    "chi3": (("N",), lambda kw: _cli.chi3_magnitude(kw["N"], _susceptibility_from(kw))),
     "exciton_energy": (("k", "delta_e", "d_shift", "v"),
-                       lambda kw: exciton_energy(kw["k"], DispersionParams(kw["delta_e"], kw["d_shift"], kw["v"]))),
+                       lambda kw: _cli.exciton_energy(
+                           kw["k"], _cli.DispersionParams(kw["delta_e"], kw["d_shift"], kw["v"]))),
     "dipole": (("mu_i", "mu_j", "d"),
-               lambda kw: dipole_coupling(DipolePair(kw["mu_i"], kw["mu_j"], kw["d"]))),
-    "coupling_nn": (("v", "k"), lambda kw: coupling_sum_nn(kw["v"], kw["k"])),
+               lambda kw: _cli.dipole_coupling(_cli.DipolePair(kw["mu_i"], kw["mu_j"], kw["d"]))),
+    "coupling_nn": (("v", "k"), lambda kw: _cli.coupling_sum_nn(kw["v"], kw["k"])),
 }
 
 
@@ -111,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate one measure and print one number")
     ev.add_argument("measure", help="one of: " + ", ".join(sorted(EVAL_MEASURES)))
-    ev.add_argument("pairs", nargs="*", metavar="key=value",
+    ev.add_argument("pairs", nargs="*", default=[], metavar="key=value",
                     help="numeric arguments, e.g. c=15 b=0.5 t_k=2")
     ev.set_defaults(func=_cmd_eval)
     return parser
@@ -128,22 +144,22 @@ def _primary_path(spec, out_flag: str | None) -> Path:
 
 def _cmd_run(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
-    spec = parse_config(text)
-    outputs = run_experiment_outputs(spec)
+    spec = _cli.parse_config(text)
+    outputs = _cli.run_experiment_outputs(spec)
     primary = _primary_path(spec, args.out)
     for suffix, table in outputs.items():
         path = primary if not suffix else primary.with_name(f"{primary.stem}_{suffix}.csv")
-        write_csv(table, path)
+        _cli.write_csv(table, path)
         print(f"wrote {path}")
         if args.svg:
             svg_path = path.with_suffix(".svg")
-            emit_svg(table, svg_path)
+            _cli.emit_svg(table, svg_path)
             print(f"wrote {svg_path}")
     return EXIT_OK
 
 
 def _cmd_list(args) -> int:
-    for name, definition in EXPERIMENTS.items():
+    for name, definition in _cli.EXPERIMENTS.items():
         print(f"{name}: {definition.description}")
         fixed = " ".join(f"{k}={v:g}" for k, v in definition.base.items())
         if fixed:
@@ -154,7 +170,7 @@ def _cmd_list(args) -> int:
             print(f"  curves: {'; '.join(labels)}")
         axis = definition.sweep
         print(f"  sweep: {axis.variable} from {axis.start:g} to {axis.stop:g} "
-              f"step {axis.step:g} ({len(sweep_grid(axis))} points)")
+              f"step {axis.step:g} ({len(_cli.sweep_grid(axis))} points)")
     return EXIT_OK
 
 
@@ -169,6 +185,8 @@ def _cmd_eval(args) -> int:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ConfigError(f"expected key=value, got '{pair}'")
+        if key in kw:
+            raise ConfigError(f"duplicate key '{key}'")
         try:
             kw[key] = float(raw)
         except ValueError:
@@ -178,7 +196,7 @@ def _cmd_eval(args) -> int:
     missing = [k for k in required if k not in kw]
     if missing:
         raise ConfigError(f"measure '{args.measure}' needs: {', '.join(missing)}")
-    print(format_number(float(evaluator(kw))))
+    print(_cli.format_number(float(evaluator(kw))))
     return EXIT_OK
 
 

@@ -2,11 +2,15 @@
 
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines are ignored.  Unknown keys, duplicate keys and malformed values are
-reported with their line number.
+reported with their line number.  The study table loads when a document is
+first parsed, so importing ``ConfigError`` alone is cheap.
 """
 from __future__ import annotations
 
-from .experiments import EXPERIMENTS, PARAM_KEYS, ExperimentSpec, SweepAxis, resolve
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentSpec
 
 
 class ConfigError(ValueError):
@@ -32,6 +36,8 @@ def _parse_value(key: str, raw: str, line_no: int):
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a configuration document into a validated experiment spec."""
+    from .experiments import EXPERIMENTS, PARAM_KEYS, ExperimentSpec, SweepAxis, resolve
+
     values: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

@@ -1,4 +1,4 @@
-"""Shared value types and argument checks for the aggregate-dynamics modules.
+"""Shared value types, parameter defaults and argument checks for the aggregate-dynamics modules.
 
 Every record is immutable and stores only independent inputs: no field has to
 agree with another field or with an array's shape.  Instances carry no hidden
@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
     import numpy as np
 
 #: Floating-point guard on the total in-window occupation probability.
 OCCUPATION_SUM_EPS = 1e-9
+
+#: Fallback parameter values for custom runs and single-measure evaluation.
+DEFAULT_BASE: Mapping[str, float] = {
+    "a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0, "N": 200, "t": 2.0,
+}
 
 
 def check_integer(value, name: str, lo: int | None = None) -> int:
@@ -69,6 +74,18 @@ class ModelParams:
         if not (math.isfinite(self.t_k) and self.t_k > 0):
             raise ValueError("t_k must be positive")
         object.__setattr__(self, "N", check_integer(self.N, "N", 2))
+
+
+def model_params(values: Mapping[str, float]) -> ModelParams:
+    """Validated model parameters from ``values``; ``DEFAULT_BASE`` fills the gaps.
+
+    A non-integral ``N`` is rejected, not truncated.  ``N`` is passed on as
+    given, so an integer too large for a float is a domain error, not an
+    ``OverflowError``.
+    """
+    return ModelParams(N=values.get("N", DEFAULT_BASE["N"]),
+                       **{k: float(values.get(k, DEFAULT_BASE[k]))
+                          for k in ("a", "b", "c", "t_k")})
 
 
 def make_window(N: int) -> range:

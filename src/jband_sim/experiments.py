@@ -18,7 +18,9 @@ from functools import partial
 from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
-from .core import ModelParams, check_time
+# DEFAULT_BASE and model_params live in core, so a scalar eval need not load
+# this module; they stay importable from here.
+from .core import DEFAULT_BASE, check_time, model_params
 from .measures import _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size
 from .multipartite import SusceptibilityParams, SymmetricState, chi3_magnitude, geometric_entropy, zeta_ratios
 from .propagator import _check_point, _occupation_block
@@ -27,11 +29,6 @@ SWEEP_VARIABLES = ("t", "N", "a", "b", "c", "t_k", "M")
 
 #: Configuration keys that set model parameters directly.
 PARAM_KEYS = ("N", "a", "b", "c", "t_k", "t")
-
-#: Fallback parameter values for custom runs and single-measure evaluation.
-DEFAULT_BASE: Mapping[str, float] = {
-    "a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0, "N": 200, "t": 2.0,
-}
 
 # An entropy sweep evaluates its points in blocks of at most this many site
 # probabilities (always at least one row), so its working memory stays a few
@@ -222,18 +219,6 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
             model_params(merged)
 
     return replace(definition, kind=kind, base=base, curves=tuple(curves), sweep=sweep)
-
-
-def model_params(values: Mapping[str, float]) -> ModelParams:
-    """Validated model parameters from ``values``; ``DEFAULT_BASE`` fills the gaps.
-
-    A non-integral ``N`` is rejected, not truncated.  ``N`` is passed on as
-    given, so an integer too large for a float is a domain error, not an
-    ``OverflowError``.
-    """
-    return ModelParams(N=values.get("N", DEFAULT_BASE["N"]),
-                       **{k: float(values.get(k, DEFAULT_BASE[k]))
-                          for k in ("a", "b", "c", "t_k")})
 
 
 def _entropy_sweep(points: Iterable[Mapping[str, float]]) -> list[tuple[float, float]]:

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .experiments import CsvTable
+if TYPE_CHECKING:
+    from .experiments import CsvTable
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -228,7 +229,9 @@ def test_cli_eval_bad_pair(capsys):
     for args, message in ((["bessel", "n=1", "x"], "key=value"),
                           (["entropy", "t=2", "N=2.5"], "integer"),
                           (["bessel", "n=2.7", "x=1"], "integer"),
-                          (["geometric_entropy", "N=4", "M=2.5"], "integer")):
+                          (["geometric_entropy", "N=4", "M=2.5"], "integer"),
+                          # As in a configuration file, a repeated key is rejected, not overwritten.
+                          (["spano", "b=0.1", "b=0.5", "c=10"], "duplicate key 'b'")):
         assert cli.main(["eval", *args]) == 1
         assert message in capsys.readouterr().err
 
@@ -237,6 +240,57 @@ def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["run"])  # --config is required
     assert err.value.code == 1
+
+
+def test_cli_eval_without_measure_names_only_the_measure(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["eval"])
+    assert err.value.code == 1
+    # The usage line shows the optional pairs; the error line must not ask for them.
+    error = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(error) == 1
+    assert "measure" in error[0] and "key=value" not in error[0]
+
+
+# The names the benchmark's tracer wraps on ``jband_sim.cli``, and where each is defined.
+TRACED_CLI_NAMES = {
+    "occupation_profile": "propagator", "entropy_report": "measures",
+    "geometric_entropy": "multipartite", "run_experiment_outputs": "experiments",
+    "parse_config": "config", "write_csv": "output", "emit_svg": "output", "main": "cli",
+}
+
+
+@pytest.mark.parametrize("name,module", sorted(TRACED_CLI_NAMES.items()))
+def test_cli_binds_each_traced_name(name, module):
+    assert getattr(cli, name) is getattr(importlib.import_module(f"jband_sim.{module}"), name)
+    assert name in vars(cli)  # bound, so a wrapper set on the module replaces it
+
+
+def test_cli_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        cli.validate_params  # noqa: B018  (a removed helper stays absent)
+    assert getattr(cli, "no_such_helper", None) is None
+
+
+def test_cli_run_calls_the_functions_set_on_the_module(tmp_path, monkeypatch):
+    calls = []
+
+    def parse_config(text):
+        calls.append("parse_config")
+        return real_parse(text)
+
+    def emit_svg(table, path):
+        calls.append("emit_svg")
+        return real_emit(table, path)
+
+    real_parse, real_emit = cli.parse_config, cli.emit_svg
+    monkeypatch.setattr(cli, "parse_config", parse_config)
+    monkeypatch.setattr(cli, "emit_svg", emit_svg)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = fig4\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--svg"]) == 0
+    assert calls == ["parse_config", "emit_svg"]
+    assert (tmp_path / "out" / "fig4.svg").is_file()
 
 
 # Every eval measure that needs no array, with the Bessel recurrence and series paths.
@@ -273,10 +327,24 @@ assert "numpy" in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # The console entry point itself, as a cold `jband-sim eval` runs it.
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "jband_sim.cli",
-                           "eval", "spano", "c=15", "b=0.5", "t_k=2"],
+
+
+# The scalar measures of the benchmark's cold-eval mix, and the module that defines each.
+COLD_EVALS = [
+    (("bessel", "n=-7", "x=31.5"), "specfun"), (("spano", "c=15", "b=0.5", "t_k=2"), "measures"),
+    (("chi3", "N=40", "mu=1", "gamma=0.5", "delta_e=3", "omega=1"), "multipartite"),
+    (("geometric_entropy", "N=20", "M=3"), "multipartite"), (("zeta1", "N=30"), "multipartite"),
+]
+
+
+@pytest.mark.parametrize("argv,module", COLD_EVALS, ids=[argv[0] for argv, _ in COLD_EVALS])
+def test_cold_eval_imports_only_its_measure_module(argv, module):
+    # The console entry point itself, as a cold `jband-sim eval` runs it: it
+    # loads the module that defines the measure, but not the study table or numpy.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "jband_sim.cli", "eval", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert "jband_sim.experiments" in imported and "numpy" not in imported
+    assert f"jband_sim.{module}" in imported
+    assert "numpy" not in imported and "jband_sim.experiments" not in imported
