@@ -5,8 +5,6 @@ access (PEP 562), so ``import jband_sim`` costs almost nothing.  numpy loads
 only when an array is first built: the scalar measures, ``bessel_j`` and
 ``jband-sim eval`` of any of them run without it.
 """
-import importlib
-
 __version__ = "0.1.0"
 
 # submodule -> the public names it defines
@@ -30,13 +28,13 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
-        # Importing a submodule binds it in the package namespace.
-        return importlib.import_module(f"{__name__}.{name}")
-    module = _MODULE_OF.get(name)
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # The builtin __import__, unlike importlib.import_module, is timed by
+    # ``python -X importtime``, so the import list stays complete.
+    value = __import__(f"{__name__}.{module}", fromlist=(name,))
+    value = value if module == name else getattr(value, name)
     globals()[name] = value
     return value
 

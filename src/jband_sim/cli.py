@@ -21,18 +21,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, parse_config, parse_number
 
 EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO = 0, 1, 2, 3
-
-#: ``eval`` keys that count sites, orders or excitations.
-_INT_KEYS = ("n", "N", "M")
 
 
 # submodule -> the helpers the commands call from it
 _HELPERS = {
     "core": ("DEFAULT_BASE", "model_params"),
-    "experiments": ("EXPERIMENTS", "run_experiment_outputs", "sweep_grid"),
+    "experiments": ("EXPERIMENTS", "ExperimentSpec", "resolve", "run_experiment_outputs",
+                    "sweep_grid"),
     "measures": ("average_concurrence", "entropy_report", "extended_state_entropy", "ipr",
                  "resonance_coherence_size", "site_entropy", "spano_coherence_size"),
     "multipartite": ("SusceptibilityParams", "SymmetricState", "chi3_magnitude", "coupling_sum_nn",
@@ -78,35 +76,36 @@ def _susceptibility_from(kw: dict):
                                      omega=kw.get("omega", 1.0))
 
 
-# measure name -> (required keys, evaluator over the parsed key/value dict)
+# measure name -> (required keys, optional keys, evaluator over the parsed key/value dict)
 EVAL_MEASURES = {
-    "bessel": (("n", "x"), lambda kw: _cli.bessel_j(kw["n"], kw["x"])),
-    "transfer": (("n", "t"),
+    "bessel": ("n x", "", lambda kw: _cli.bessel_j(kw["n"], kw["x"])),
+    "transfer": ("n t", "a b c",
                  lambda kw: _cli.transfer_probability(kw["n"], kw["t"], _cli.model_params(kw))),
-    "survival": (("t",), lambda kw: _profile(kw).u.sum()),
-    "entropy": (("t",), lambda kw: _cli.entropy_report(_profile(kw)).total),
-    "entropy_avg": (("t",), lambda kw: _cli.entropy_report(_profile(kw)).average),
-    "extended_ref": ((), lambda kw: _cli.extended_state_entropy(kw.get("N", _cli.DEFAULT_BASE["N"]))),
-    "ipr": (("t",), lambda kw: _cli.ipr(_profile(kw))),
-    "site_entropy": (("u",), lambda kw: _cli.site_entropy(kw["u"])),
-    "concurrence": (("zeta", "N"),
+    "survival": ("t", "N a b c", lambda kw: _profile(kw).u.sum()),
+    "entropy": ("t", "N a b c", lambda kw: _cli.entropy_report(_profile(kw)).total),
+    "entropy_avg": ("t", "N a b c", lambda kw: _cli.entropy_report(_profile(kw)).average),
+    "extended_ref": ("", "N", lambda kw: _cli.extended_state_entropy(kw.get("N", _cli.DEFAULT_BASE["N"]))),
+    "ipr": ("t", "N a b c", lambda kw: _cli.ipr(_profile(kw))),
+    "site_entropy": ("u", "", lambda kw: _cli.site_entropy(kw["u"])),
+    "concurrence": ("zeta N", "",
                     lambda kw: _cli.average_concurrence(kw["zeta"], kw["N"]).avg_concurrence),
-    "concurrence_scaled": (("zeta", "N"),
+    "concurrence_scaled": ("zeta N", "",
                            lambda kw: _cli.average_concurrence(kw["zeta"], kw["N"]).scaled),
-    "spano": (("b",), lambda kw: _cli.spano_coherence_size(_cli.model_params(kw))),
-    "resonance": ((), lambda kw: _cli.resonance_coherence_size(kw.get("c", _cli.DEFAULT_BASE["c"]))),
-    "lambda_max": (("N", "M"), lambda kw: _cli.lambda_max(_cli.SymmetricState(kw["N"], kw["M"]))),
-    "geometric_entropy": (("N", "M"),
+    "spano": ("b", "c t_k N", lambda kw: _cli.spano_coherence_size(_cli.model_params(kw))),
+    "resonance": ("", "c", lambda kw: _cli.resonance_coherence_size(kw.get("c", _cli.DEFAULT_BASE["c"]))),
+    "lambda_max": ("N M", "", lambda kw: _cli.lambda_max(_cli.SymmetricState(kw["N"], kw["M"]))),
+    "geometric_entropy": ("N M", "",
                           lambda kw: _cli.geometric_entropy(_cli.SymmetricState(kw["N"], kw["M"]))),
-    "zeta1": (("N",), lambda kw: _cli.zeta_ratios(kw["N"])[0]),
-    "zeta2": (("N",), lambda kw: _cli.zeta_ratios(kw["N"])[1]),
-    "chi3": (("N",), lambda kw: _cli.chi3_magnitude(kw["N"], _susceptibility_from(kw))),
-    "exciton_energy": (("k", "delta_e", "d_shift", "v"),
+    "zeta1": ("N", "", lambda kw: _cli.zeta_ratios(kw["N"])[0]),
+    "zeta2": ("N", "", lambda kw: _cli.zeta_ratios(kw["N"])[1]),
+    "chi3": ("N", "mu gamma delta_e omega",
+             lambda kw: _cli.chi3_magnitude(kw["N"], _susceptibility_from(kw))),
+    "exciton_energy": ("k delta_e d_shift v", "",
                        lambda kw: _cli.exciton_energy(
                            kw["k"], _cli.DispersionParams(kw["delta_e"], kw["d_shift"], kw["v"]))),
-    "dipole": (("mu_i", "mu_j", "d"),
+    "dipole": ("mu_i mu_j d", "",
                lambda kw: _cli.dipole_coupling(_cli.DipolePair(kw["mu_i"], kw["mu_j"], kw["d"]))),
-    "coupling_nn": (("v", "k"), lambda kw: _cli.coupling_sum_nn(kw["v"], kw["k"])),
+    "coupling_nn": ("v k", "", lambda kw: _cli.coupling_sum_nn(kw["v"], kw["k"])),
 }
 
 
@@ -159,16 +158,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    for name, definition in _cli.EXPERIMENTS.items():
-        print(f"{name}: {definition.description}")
-        fixed = " ".join(f"{k}={v:g}" for k, v in definition.base.items())
+    for name in _cli.EXPERIMENTS:
+        plan = _cli.resolve(_cli.ExperimentSpec(name))
+        print(f"{name}: {plan.description}")
+        fixed = " ".join(f"{k}={v:g}" for k, v in plan.base.items())
         if fixed:
             print(f"  fixed: {fixed}")
         labels = [" ".join(f"{k}={v:g}" for k, v in curve.items())
-                  for curve in definition.curves if curve]
+                  for curve in plan.curves if curve]
         if labels:
             print(f"  curves: {'; '.join(labels)}")
-        axis = definition.sweep
+        axis = plan.sweep
         print(f"  sweep: {axis.variable} from {axis.start:g} to {axis.stop:g} "
               f"step {axis.step:g} ({len(_cli.sweep_grid(axis))} points)")
     return EXIT_OK
@@ -179,7 +179,8 @@ def _cmd_eval(args) -> int:
     if entry is None:
         raise ConfigError(f"unknown measure '{args.measure}' "
                           f"(known: {', '.join(sorted(EVAL_MEASURES))})")
-    required, evaluator = entry
+    required, optional, evaluator = entry
+    reads = f"{required} {optional}".split()
     kw: dict[str, float] = {}
     for pair in args.pairs:
         key, sep, raw = pair.partition("=")
@@ -187,13 +188,14 @@ def _cmd_eval(args) -> int:
             raise ConfigError(f"expected key=value, got '{pair}'")
         if key in kw:
             raise ConfigError(f"duplicate key '{key}'")
+        if key not in reads:
+            raise ConfigError(f"unknown key '{key}' for measure '{args.measure}', "
+                              f"which reads {' '.join(reads)}")
         try:
-            kw[key] = float(raw)
-        except ValueError:
-            raise ConfigError(f"invalid number '{raw}' for key '{key}'") from None
-        if key in _INT_KEYS and not kw[key].is_integer():
-            raise ConfigError(f"key '{key}' needs an integer, got '{raw}'")
-    missing = [k for k in required if k not in kw]
+            kw[key] = parse_number(key, raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    missing = [k for k in required.split() if k not in kw]
     if missing:
         raise ConfigError(f"measure '{args.measure}' needs: {', '.join(missing)}")
     print(_cli.format_number(float(evaluator(kw))))

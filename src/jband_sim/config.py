@@ -1,9 +1,9 @@
-"""Line-oriented ``key = value`` run configuration.
+"""Line-oriented ``key = value`` run configuration, and the number rule of every front end.
 
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines are ignored.  Unknown keys, duplicate keys and malformed values are
 reported with their line number.  The study table loads when a document is
-first parsed, so importing ``ConfigError`` alone is cheap.
+first parsed, so importing ``ConfigError`` or ``parse_number`` alone is cheap.
 """
 from __future__ import annotations
 
@@ -17,26 +17,34 @@ class ConfigError(ValueError):
     """A run configuration failed to parse or validate."""
 
 
-_FLOAT_KEYS = {"a", "b", "c", "t_k", "t", "sweep_start", "sweep_stop", "sweep_step"}
-_INT_KEYS = {"N"}
-_TEXT_KEYS = {"experiment", "out"}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _TEXT_KEYS
+#: Keys that count sites, orders or excitations; every other numeric key is a float.
+INT_KEYS = ("n", "N", "M")
+_TEXT_KEYS = ("experiment", "out")
+_SWEEP_KEYS = ("sweep_start", "sweep_stop", "sweep_step")
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    if key in _TEXT_KEYS:
-        return raw
+def parse_number(key: str, raw: str) -> int | float:
+    """``raw`` as the value of ``key``; ``ValueError`` names the key.
+
+    An integer key takes a decimal integer, exact at any size, or an integral
+    float literal (``3e2``); any other key takes a float."""
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: invalid value '{raw}' for key '{key}'") from None
+        raise ValueError(f"invalid value '{raw}' for key '{key}'") from None
+    if key not in INT_KEYS:
+        return value
+    try:
+        return int(raw)
+    except ValueError:
+        if value.is_integer():
+            return int(value)
+        raise ValueError(f"key '{key}' needs an integer, got '{raw}'") from None
 
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a configuration document into a validated experiment spec."""
-    from .experiments import EXPERIMENTS, PARAM_KEYS, ExperimentSpec, SweepAxis, resolve
+    from .experiments import DEFAULT_BASE, EXPERIMENTS, ExperimentSpec, SweepAxis, resolve
 
     values: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -48,13 +56,16 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key = key.strip()
         raw_value = raw_value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in (*_TEXT_KEYS, *_SWEEP_KEYS, *DEFAULT_BASE):
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"line {line_no}: duplicate key '{key}'")
         if not raw_value:
             raise ConfigError(f"line {line_no}: missing value for key '{key}'")
-        values[key] = _parse_value(key, raw_value, line_no)
+        try:
+            values[key] = raw_value if key in _TEXT_KEYS else parse_number(key, raw_value)
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
 
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
@@ -71,12 +82,8 @@ def parse_config(text: str) -> ExperimentSpec:
         stop=float(values.get("sweep_stop", default.stop)),
         step=float(values.get("sweep_step", default.step)),
     )
-    spec = ExperimentSpec(
-        name=name,
-        params={k: values[k] for k in PARAM_KEYS if k in values},
-        sweep=sweep,
-        output_path=values.get("out"),
-    )
+    spec = ExperimentSpec(name, {k: v for k, v in values.items() if k in DEFAULT_BASE},
+                          sweep, values.get("out"))
     try:
         resolve(spec)
     except ValueError as exc:

@@ -8,7 +8,8 @@ one chain length; the other kinds map a point function over the points.  One
 sweep loop lays the values out as tables whose first column is the sweep
 variable.  Entropy studies produce two tables, the summed site entropy and
 its per-site average, exposed via ``run_experiment_outputs``;
-``run_experiment`` returns the primary table.
+``run_experiment`` returns the primary table.  A study accepts an override or
+a sweep variable only among the keys its kind reads.
 """
 from __future__ import annotations
 
@@ -18,17 +19,14 @@ from functools import partial
 from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
+from .config import INT_KEYS
+
 # DEFAULT_BASE and model_params live in core, so a scalar eval need not load
 # this module; they stay importable from here.
 from .core import DEFAULT_BASE, check_time, model_params
 from .measures import _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size
 from .multipartite import SusceptibilityParams, SymmetricState, chi3_magnitude, geometric_entropy, zeta_ratios
 from .propagator import _check_point, _occupation_block
-
-SWEEP_VARIABLES = ("t", "N", "a", "b", "c", "t_k", "M")
-
-#: Configuration keys that set model parameters directly.
-PARAM_KEYS = ("N", "a", "b", "c", "t_k", "t")
 
 # An entropy sweep evaluates its points in blocks of at most this many site
 # probabilities (always at least one row), so its working memory stays a few
@@ -88,44 +86,44 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
     "fig1a": ExperimentDef(
         "entropy",
         "site entropy versus time for chain lengths N = 200, 100, 50 (a = b = 0, c = 30)",
-        {"a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0},
+        {"a": 0.0, "b": 0.0, "c": 30.0},
         ({"N": 200}, {"N": 100}, {"N": 50}), _T_GRID),
     "fig1b": ExperimentDef(
         "entropy",
         "site entropy versus chain length at t = 2, 5, 9 (a = b = 0, c = 30)",
-        {"a": 0.0, "b": 0.0, "c": 30.0, "t_k": 1.0},
+        {"a": 0.0, "b": 0.0, "c": 30.0},
         ({"t": 2.0}, {"t": 5.0}, {"t": 9.0}), _N_GRID),
     "fig1c": ExperimentDef(
         "entropy",
         "site entropy versus chain length at c = 10, 20, 40 (a = b = 0, t = 2)",
-        {"a": 0.0, "b": 0.0, "t_k": 1.0, "t": 2.0},
+        {"a": 0.0, "b": 0.0, "t": 2.0},
         ({"c": 10.0}, {"c": 20.0}, {"c": 40.0}), _N_GRID),
     "fig1d": ExperimentDef(
         "entropy",
         "site entropy versus chain length at b = 0, 0.3, 0.5 plus the extended-state "
         "reference (a = 0, c = 30, t = 6)",
-        {"a": 0.0, "c": 30.0, "t_k": 1.0, "t": 6.0},
+        {"a": 0.0, "c": 30.0, "t": 6.0},
         ({"b": 0.0}, {"b": 0.3}, {"b": 0.5}), _N_GRID, extended_ref=True),
     "fig2a": ExperimentDef(
         "entropy",
         "site entropy versus time at a = 0, 0.3, 0.7, 1.5 (N = 150, b = 0, c = 10)",
-        {"b": 0.0, "c": 10.0, "t_k": 1.0, "N": 150},
+        {"b": 0.0, "c": 10.0, "N": 150},
         ({"a": 0.0}, {"a": 0.3}, {"a": 0.7}, {"a": 1.5}), _T_GRID),
     "fig2b": ExperimentDef(
         "entropy",
         "site entropy versus time at b = 0, 0.5, 1 (N = 100, a = 0, c = 20)",
-        {"a": 0.0, "c": 20.0, "t_k": 1.0, "N": 100},
+        {"a": 0.0, "c": 20.0, "N": 100},
         ({"b": 0.0}, {"b": 0.5}, {"b": 1.0}), _T_GRID),
     "fig2c": ExperimentDef(
         "entropy",
         "site entropy versus time at c = 40, 20, 5 (N = 200, a = 0.5, b = 0.3)",
-        {"a": 0.5, "b": 0.3, "t_k": 1.0, "N": 200},
+        {"a": 0.5, "b": 0.3, "N": 200},
         ({"c": 40.0}, {"c": 20.0}, {"c": 5.0}), _T_GRID),
     "fig3": ExperimentDef(
         "concurrence_vs_N",
         "average concurrence versus aggregate size at t_k = 2 for (c, b) in "
         "(15, 0.5), (15, 0.1), (5, 0.5), (5, 0.1)",
-        {"a": 0.0, "t_k": 2.0},
+        {"t_k": 2.0},
         ({"c": 15.0, "b": 0.5}, {"c": 15.0, "b": 0.1},
          {"c": 5.0, "b": 0.5}, {"c": 5.0, "b": 0.1}),
         SweepAxis("N", 10, 200, 5)),
@@ -142,17 +140,9 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
     "custom": ExperimentDef(
         "custom",
         "single-curve entropy study over the configured sweep variable "
-        "(defaults: a = 0, b = 0, c = 30, t_k = 1, N = 200, t = 2)",
+        "(defaults: a = 0, b = 0, c = 30, N = 200, t = 2)",
         dict(DEFAULT_BASE), ({},), _T_GRID),
 }
-
-
-def _format_value(v: float) -> str:
-    return f"{v:g}"
-
-
-def _curve_label(curve: Mapping[str, float]) -> str:
-    return "_".join(f"{k}{_format_value(v)}" for k, v in curve.items())
 
 
 def _column(prefix: str, label: str) -> str:
@@ -161,28 +151,26 @@ def _column(prefix: str, label: str) -> str:
 
 def sweep_grid(axis: SweepAxis) -> list[float]:
     """The inclusive grid of a sweep axis, rounded to integers for N and M."""
-    if axis.variable not in SWEEP_VARIABLES:
-        raise ValueError(f"unknown sweep variable '{axis.variable}'")
     if not (math.isfinite(axis.step) and axis.step > 0):
         raise ValueError("sweep step must be > 0")
     if not (axis.start < axis.stop):
         raise ValueError("sweep start must be < stop")
     count = int(math.floor((axis.stop - axis.start) / axis.step + 1e-9)) + 1
     grid = [axis.start + i * axis.step for i in range(count)]
-    return [int(round(v)) for v in grid] if axis.variable in ("N", "M") else grid
+    return [int(round(v)) for v in grid] if axis.variable in INT_KEYS else grid
 
 
 def resolve(spec: ExperimentSpec) -> ExperimentDef:
-    """Merge a spec with its preset and validate the result."""
+    """Merge a spec with its preset and validate the result.
+
+    The plan keeps the model parameters its kind reads, and any other key is
+    rejected; fig5's susceptibility constants stay fixed.
+    """
     definition = EXPERIMENTS.get(spec.name)
     if definition is None:
         raise ValueError(f"unknown experiment '{spec.name}'")
 
-    overrides = dict(spec.params)
-    for key in overrides:
-        if key not in PARAM_KEYS:
-            raise ValueError(f"unknown parameter '{key}'")
-
+    overrides = spec.params
     sweep = spec.sweep if spec.sweep is not None else definition.sweep
     if definition.kind == "custom":
         kind = "geometric_vs_M" if sweep.variable == "M" else "entropy"
@@ -192,6 +180,11 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
             raise ValueError(
                 f"experiment '{spec.name}' sweeps '{definition.sweep.variable}', "
                 f"not '{sweep.variable}'")
+    reads = _KINDS[kind][0]
+    for key in (sweep.variable, *overrides):
+        if key not in reads:
+            raise ValueError(f"unknown parameter '{key}' for experiment '{spec.name}', "
+                             f"which reads {' '.join(reads)}")
     first = sweep_grid(sweep)[0]  # validates the axis
 
     if sweep.variable in overrides:
@@ -199,10 +192,8 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
             f"'{sweep.variable}' is the sweep variable of experiment '{spec.name}' "
             "and cannot be fixed")
 
-    curve_keys = set()
-    for curve in definition.curves:
-        curve_keys.update(curve)
-    base = dict(definition.base)
+    curve_keys = {k for curve in definition.curves for k in curve}
+    base = {k: v for k, v in definition.base.items() if k in reads or k not in DEFAULT_BASE}
     base.update({k: v for k, v in overrides.items() if k not in curve_keys})
 
     curves: list[dict[str, float]] = []
@@ -282,19 +273,20 @@ def _geometric_point(values: Mapping[str, float]) -> tuple[float]:
     return (geometric_entropy(SymmetricState(values["N"], values["M"])),)
 
 
-# kind -> (function from a plan's points, in sweep order, to their values,
+# kind -> (the keys its points read (t_k enters only the coherence size);
+#          function from a plan's points, in sweep order, to their values;
 #          one (table suffix, column prefix) per value of a point)
-_KINDS: dict[str, tuple[Callable, tuple[tuple[str, str], ...]]] = {
-    "entropy": (_entropy_sweep, (("", "S"), ("avg", "S_avg"))),
-    "concurrence_vs_N": (partial(map, _concurrence_point), (("", "C"),)),
-    "zeta_vs_N": (partial(map, _zeta_point), (("", "zeta1"), ("", "zeta2"))),
-    "chi3_vs_N": (partial(map, _chi3_point), (("", "chi3_reduced"), ("", "chi3_over_N"))),
-    "geometric_vs_M": (partial(map, _geometric_point), (("", "E_geom"),)),
+_KINDS: dict[str, tuple[tuple[str, ...], Callable, tuple[tuple[str, str], ...]]] = {
+    "entropy": (("N", "a", "b", "c", "t"), _entropy_sweep, (("", "S"), ("avg", "S_avg"))),
+    "concurrence_vs_N": (("N", "b", "c", "t_k"), partial(map, _concurrence_point), (("", "C"),)),
+    "zeta_vs_N": (("N",), partial(map, _zeta_point), (("", "zeta1"), ("", "zeta2"))),
+    "chi3_vs_N": (("N",), partial(map, _chi3_point), (("", "chi3_reduced"), ("", "chi3_over_N"))),
+    "geometric_vs_M": (("N", "M"), partial(map, _geometric_point), (("", "E_geom"),)),
 }
 
 
 def _build(plan: ExperimentDef) -> dict[str, CsvTable]:
-    evaluate, columns = _KINDS[plan.kind]
+    _, evaluate, columns = _KINDS[plan.kind]
     var = plan.sweep.variable
     grid = sweep_grid(plan.sweep)
     values = iter(evaluate({**plan.base, **curve, var: x}
@@ -312,7 +304,7 @@ def _build(plan: ExperimentDef) -> dict[str, CsvTable]:
             tables[suffix].append(tuple(row))
     # Labels only after the rows: a point rejects an out-of-range value with a
     # domain error, where formatting it into a label could overflow.
-    labels = [_curve_label(curve) for curve in plan.curves]
+    labels = ["_".join(f"{k}{v:g}" for k, v in curve.items()) for curve in plan.curves]
     if plan.extended_ref:
         labels.append("ext")
     headers = {suffix: [var] for suffix in tables}

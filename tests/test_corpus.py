@@ -123,6 +123,14 @@ ERRORS = {
     "unknown_experiment": ("experiment = fig9\n", ()),
     "fixed_sweep_variable": ("experiment = fig1a\nt = 2\n", ()),
     "zero_sweep_step": ("experiment = fig4\nsweep_step = 0\n", ()),
+    # Keys the study or measure does not read.
+    "fig4_unread_c_t": ("experiment = fig4\nc = 3\nt = 7\n", ()),
+    "fig5_unread_b": ("experiment = fig5\nb = 0.5\n", ()),
+    "fig1a_unread_t_k": ("experiment = fig1a\nt_k = 5\n", ()),
+    "fig3_unread_a": ("experiment = fig3\na = 0.5\n", ()),
+    "custom_unread_t_k": ("experiment = custom\nt_k = 2\n", ()),
+    "eval_unread_key": (None, ("eval", "spano", "c=15", "b=0.5", "t_k=2", "t=5", "a=9")),
+    "eval_transfer_unread_N": (None, ("eval", "transfer", "n=1", "t=1", "N=1")),
     "eval_unknown_measure": (None, ("eval", "nope")),
     "eval_missing_key": (None, ("eval", "bessel", "n=3")),
     "eval_not_a_pair": (None, ("eval", "bessel", "n3")),

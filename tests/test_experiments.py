@@ -118,6 +118,50 @@ def test_unknown_spec_parameter_is_domain_error():
         resolve(ExperimentSpec("fig1a", params={"q": 1.0}))
 
 
+# A value for every model parameter that differs from each preset's own.
+OVERRIDES = {"N": 37, "a": 0.4, "b": 0.35, "c": 12.5, "t_k": 1.7, "t": 1.3}
+
+
+@pytest.mark.parametrize("key", sorted(OVERRIDES))
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_accepted_override_changes_the_primary_table(name, key):
+    # The input contract itself: an override is rejected with a message that
+    # names the study and the key, or it changes the plotted table.
+    spec = ExperimentSpec(name, params={key: OVERRIDES[key]})
+    try:
+        resolve(spec)
+    except ValueError as exc:
+        assert f"'{name}'" in str(exc) and f"'{key}'" in str(exc)
+        return
+    assert run_experiment(spec) != run_experiment(ExperimentSpec(name))
+
+
+@pytest.mark.parametrize("name, params, sweep, key", [
+    ("fig4", {"c": 3.0}, None, "c"), ("fig4", {"t": 7.0}, None, "t"),
+    ("fig4", {"a": 0.5}, None, "a"), ("fig5", {"c": 3.0}, None, "c"),
+    ("fig5", {"b": 0.5}, None, "b"), ("fig1a", {"t_k": 5.0}, None, "t_k"),
+    ("fig3", {"a": 0.5}, None, "a"),
+    ("custom", {"N": 40, "c": 3.0}, SweepAxis("M", 0, 40, 1), "c"),
+    ("custom", {"N": 40, "t": 7.0}, SweepAxis("M", 0, 40, 1), "t"),
+    ("custom", {}, SweepAxis("t_k", 0.5, 3.0, 0.5), "t_k"),
+], ids=["fig4-c", "fig4-t", "fig4-a", "fig5-c", "fig5-b", "fig1a-t_k", "fig3-a",
+        "custom-M-c", "custom-M-t", "custom-sweep-t_k"])
+def test_resolve_rejects_a_key_the_study_does_not_read(name, params, sweep, key):
+    with pytest.raises(ValueError, match=f"unknown parameter '{key}' for experiment '{name}'"):
+        resolve(ExperimentSpec(name, params, sweep))
+
+
+@pytest.mark.parametrize("spec, base", [
+    (ExperimentSpec("fig1a"), {"a": 0.0, "b": 0.0, "c": 30.0}),
+    (ExperimentSpec("fig3"), {"t_k": 2.0}),
+    (ExperimentSpec("custom"), {"a": 0.0, "b": 0.0, "c": 30.0, "N": 200, "t": 2.0}),
+    (ExperimentSpec("custom", {"N": 40}, SweepAxis("M", 0, 40, 1)), {"N": 40}),
+    (ExperimentSpec("fig5"), {"mu": 1.0, "gamma": 0.5, "delta_e": 3.0, "omega": 1.0}),
+], ids=["fig1a", "fig3", "custom", "custom-M", "fig5"])
+def test_plan_keeps_only_the_keys_its_kind_reads(spec, base):
+    assert resolve(spec).base == base
+
+
 def test_fig1a_table_shape_and_initial_row():
     tables = run_experiment_outputs(ExperimentSpec("fig1a"))
     total, avg = tables[""], tables["avg"]

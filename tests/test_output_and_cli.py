@@ -12,6 +12,7 @@ import pytest
 
 from jband_sim import cli
 from jband_sim.experiments import EXPERIMENTS, CsvTable, ExperimentSpec, run_experiment
+from jband_sim.measures import extended_state_entropy
 from jband_sim.output import emit_svg, format_number, render_csv, render_svg, write_csv
 
 
@@ -231,9 +232,28 @@ def test_cli_eval_bad_pair(capsys):
                           (["bessel", "n=2.7", "x=1"], "integer"),
                           (["geometric_entropy", "N=4", "M=2.5"], "integer"),
                           # As in a configuration file, a repeated key is rejected, not overwritten.
-                          (["spano", "b=0.1", "b=0.5", "c=10"], "duplicate key 'b'")):
+                          (["spano", "b=0.1", "b=0.5", "c=10"], "duplicate key 'b'"),
+                          # A key the measure does not read is rejected, not ignored.
+                          (["spano", "c=15", "b=0.5", "t_k=2", "t=5", "a=9"],
+                           "unknown key 't' for measure 'spano'"),
+                          (["transfer", "n=1", "t=1", "N=1"], "unknown key 'N' for measure 'transfer'")):
         assert cli.main(["eval", *args]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_cli_eval_keeps_an_integer_beyond_the_float_range(capsys):
+    assert cli.main(["eval", "extended_ref", f"N=1{'0' * 400}"]) == 0
+    assert capsys.readouterr().out == format_number(extended_state_entropy(10**400)) + "\n"
+
+
+def test_config_integral_float_literal_is_an_integer(tmp_path):
+    # One integer rule for configuration files and eval: N = 3e2 is N = 300.
+    outputs = []
+    for value in ("300", "3e2"):
+        cfg = write_config(tmp_path, f"experiment = custom\nN = {value}\nsweep_stop = 1\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / value)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / value).iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -348,3 +368,15 @@ def test_cold_eval_imports_only_its_measure_module(argv, module):
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert f"jband_sim.{module}" in imported
     assert "numpy" not in imported and "jband_sim.experiments" not in imported
+
+
+def test_package_attributes_load_through_the_timed_import():
+    # ``python -X importtime`` times the builtin __import__ only, so a submodule
+    # that ``import jband_sim`` loads on first access must appear in its list.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                           "import jband_sim; jband_sim.bessel_j(1, 1.0)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "jband_sim.specfun" in imported
