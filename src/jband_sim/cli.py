@@ -7,13 +7,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 configuration error, 2 domain error, 3 I/O error.
 
-Importing this module loads only what every subcommand shares: argparse and
-``config``, which defines ``ConfigError``.  Every other helper binds on first
-access (PEP 562), so a cold ``eval`` loads ``output`` for its number format,
-``core`` and the module that defines its measure, and ``run`` and ``list``
-load ``experiments`` and ``output`` when they are called.  The commands read
-each helper as an attribute of this module, so a function set on the module
-(``cli.parse_config = ...``) is the one they call.
+Importing this module loads only what every subcommand shares: argparse,
+``config``, ``core`` and ``output``, none of which loads numpy.  Any other
+public name of the package binds here on first access, from the package's
+own lazy table (PEP 562), so a cold ``eval`` adds only the module that
+defines its measure, and ``run`` and ``list`` load ``experiments`` when they
+are called.  Names are bound on this module, and the commands read them from
+it, for one reason: a function set on the module (``cli.parse_config = ...``,
+as a tracer or ``monkeypatch`` does) is the one they call.
 """
 from __future__ import annotations
 
@@ -22,35 +23,18 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config, parse_number
+from .core import DEFAULT_BASE, model_params
+from .output import emit_svg, format_number, write_csv
 
 EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO = 0, 1, 2, 3
 
 
-# submodule -> the helpers the commands call from it
-_HELPERS = {
-    "core": ("DEFAULT_BASE", "model_params"),
-    "experiments": ("EXPERIMENTS", "ExperimentSpec", "resolve", "run_experiment_outputs",
-                    "sweep_grid"),
-    "measures": ("average_concurrence", "entropy_report", "extended_state_entropy", "ipr",
-                 "resonance_coherence_size", "site_entropy", "spano_coherence_size"),
-    "multipartite": ("SusceptibilityParams", "SymmetricState", "chi3_magnitude", "coupling_sum_nn",
-                     "geometric_entropy", "lambda_max", "zeta_ratios"),
-    "output": ("emit_svg", "format_number", "write_csv"),
-    "propagator": ("DipolePair", "DispersionParams", "dipole_coupling", "exciton_energy",
-                   "occupation_profile", "transfer_probability"),
-    "specfun": ("bessel_j",),
-}
-_MODULE_OF = {name: module for module, names in _HELPERS.items() for name in names}
-
-
 def __getattr__(name):
-    module = _MODULE_OF.get(name)
-    if module is None:
+    package = sys.modules[__package__]
+    # Only the package's exports: its own attributes (``__path__``) are not ours.
+    if name not in package._MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # The builtin __import__, unlike importlib.import_module, is timed by
-    # ``python -X importtime``, so a cold eval's import list stays complete.
-    value = getattr(__import__(f"{__package__}.{module}", fromlist=(name,)), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -67,39 +51,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _profile(kw: dict):
-    return _cli.occupation_profile(kw["t"], _cli.model_params(kw))
-
-
-def _susceptibility_from(kw: dict):
-    return _cli.SusceptibilityParams(mu=kw.get("mu", 1.0), gamma=kw.get("gamma", 0.5),
-                                     delta_e=kw.get("delta_e", 3.0),
-                                     omega=kw.get("omega", 1.0))
+    return _cli.occupation_profile(kw["t"], model_params(kw))
 
 
 # measure name -> (required keys, optional keys, evaluator over the parsed key/value dict)
 EVAL_MEASURES = {
     "bessel": ("n x", "", lambda kw: _cli.bessel_j(kw["n"], kw["x"])),
     "transfer": ("n t", "a b c",
-                 lambda kw: _cli.transfer_probability(kw["n"], kw["t"], _cli.model_params(kw))),
-    "survival": ("t", "N a b c", lambda kw: _profile(kw).u.sum()),
+                 lambda kw: _cli.transfer_probability(kw["n"], kw["t"], model_params(kw))),
+    "survival": ("t", "N a b c", lambda kw: _cli.window_survival(kw["t"], model_params(kw))),
     "entropy": ("t", "N a b c", lambda kw: _cli.entropy_report(_profile(kw)).total),
     "entropy_avg": ("t", "N a b c", lambda kw: _cli.entropy_report(_profile(kw)).average),
-    "extended_ref": ("", "N", lambda kw: _cli.extended_state_entropy(kw.get("N", _cli.DEFAULT_BASE["N"]))),
+    "extended_ref": ("", "N", lambda kw: _cli.extended_state_entropy(kw.get("N", DEFAULT_BASE["N"]))),
     "ipr": ("t", "N a b c", lambda kw: _cli.ipr(_profile(kw))),
     "site_entropy": ("u", "", lambda kw: _cli.site_entropy(kw["u"])),
     "concurrence": ("zeta N", "",
                     lambda kw: _cli.average_concurrence(kw["zeta"], kw["N"]).avg_concurrence),
     "concurrence_scaled": ("zeta N", "",
                            lambda kw: _cli.average_concurrence(kw["zeta"], kw["N"]).scaled),
-    "spano": ("b", "c t_k N", lambda kw: _cli.spano_coherence_size(_cli.model_params(kw))),
-    "resonance": ("", "c", lambda kw: _cli.resonance_coherence_size(kw.get("c", _cli.DEFAULT_BASE["c"]))),
+    "spano": ("b", "c t_k N", lambda kw: _cli.spano_coherence_size(model_params(kw))),
+    "resonance": ("", "c", lambda kw: _cli.resonance_coherence_size(kw.get("c", DEFAULT_BASE["c"]))),
     "lambda_max": ("N M", "", lambda kw: _cli.lambda_max(_cli.SymmetricState(kw["N"], kw["M"]))),
     "geometric_entropy": ("N M", "",
                           lambda kw: _cli.geometric_entropy(_cli.SymmetricState(kw["N"], kw["M"]))),
     "zeta1": ("N", "", lambda kw: _cli.zeta_ratios(kw["N"])[0]),
     "zeta2": ("N", "", lambda kw: _cli.zeta_ratios(kw["N"])[1]),
     "chi3": ("N", "mu gamma delta_e omega",
-             lambda kw: _cli.chi3_magnitude(kw["N"], _susceptibility_from(kw))),
+             lambda kw: _cli.chi3_magnitude(
+                 kw["N"], _cli.SusceptibilityParams(**{k: v for k, v in kw.items() if k != "N"}))),
     "exciton_energy": ("k delta_e d_shift v", "",
                        lambda kw: _cli.exciton_energy(
                            kw["k"], _cli.DispersionParams(kw["delta_e"], kw["d_shift"], kw["v"]))),
@@ -143,23 +122,25 @@ def _primary_path(spec, out_flag: str | None) -> Path:
 
 def _cmd_run(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
-    spec = _cli.parse_config(text)
+    spec = parse_config(text)
     outputs = _cli.run_experiment_outputs(spec)
     primary = _primary_path(spec, args.out)
     for suffix, table in outputs.items():
         path = primary if not suffix else primary.with_name(f"{primary.stem}_{suffix}.csv")
-        _cli.write_csv(table, path)
+        write_csv(table, path)
         print(f"wrote {path}")
         if args.svg:
             svg_path = path.with_suffix(".svg")
-            _cli.emit_svg(table, svg_path)
+            emit_svg(table, svg_path)
             print(f"wrote {svg_path}")
     return EXIT_OK
 
 
 def _cmd_list(args) -> int:
-    for name in _cli.EXPERIMENTS:
-        plan = _cli.resolve(_cli.ExperimentSpec(name))
+    from .experiments import EXPERIMENTS, ExperimentSpec, resolve, sweep_grid
+
+    for name in EXPERIMENTS:
+        plan = resolve(ExperimentSpec(name))
         print(f"{name}: {plan.description}")
         fixed = " ".join(f"{k}={v:g}" for k, v in plan.base.items())
         if fixed:
@@ -170,7 +151,7 @@ def _cmd_list(args) -> int:
             print(f"  curves: {'; '.join(labels)}")
         axis = plan.sweep
         print(f"  sweep: {axis.variable} from {axis.start:g} to {axis.stop:g} "
-              f"step {axis.step:g} ({len(_cli.sweep_grid(axis))} points)")
+              f"step {axis.step:g} ({len(sweep_grid(axis))} points)")
     return EXIT_OK
 
 
@@ -198,7 +179,7 @@ def _cmd_eval(args) -> int:
     missing = [k for k in required.split() if k not in kw]
     if missing:
         raise ConfigError(f"measure '{args.measure}' needs: {', '.join(missing)}")
-    print(_cli.format_number(float(evaluator(kw))))
+    print(format_number(float(evaluator(kw))))
     return EXIT_OK
 
 

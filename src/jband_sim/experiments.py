@@ -14,7 +14,7 @@ a sweep variable only among the keys its kind reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import groupby
 from typing import Callable, Iterable, Mapping
@@ -81,6 +81,7 @@ class ExperimentDef:
 
 _T_GRID = SweepAxis("t", 0.0, 10.0, 0.05)
 _N_GRID = SweepAxis("N", 10, 300, 10)
+_MONOMER = SusceptibilityParams()
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
     "fig1a": ExperimentDef(
@@ -134,8 +135,9 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
     "fig5": ExperimentDef(
         "chi3_vs_N",
         "reduced third-order susceptibility per monomer versus aggregate size "
-        "(mu = 1, gamma = 0.5, delta_e = 3, omega = delta_e / 3)",
-        {"mu": 1.0, "gamma": 0.5, "delta_e": 3.0, "omega": 1.0},
+        f"(mu = {_MONOMER.mu:g}, gamma = {_MONOMER.gamma:g}, delta_e = {_MONOMER.delta_e:g}, "
+        f"omega = delta_e / {_MONOMER.delta_e / _MONOMER.omega:g})",
+        asdict(_MONOMER),
         ({},), SweepAxis("N", 4, 400, 4)),
     "custom": ExperimentDef(
         "custom",
@@ -164,7 +166,8 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
     """Merge a spec with its preset and validate the result.
 
     The plan keeps the model parameters its kind reads, and any other key is
-    rejected; fig5's susceptibility constants stay fixed.
+    rejected; fig5's susceptibility constants stay fixed.  The sweep variable,
+    which every point sets, is not part of the plan's base.
     """
     definition = EXPERIMENTS.get(spec.name)
     if definition is None:
@@ -193,7 +196,8 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
             "and cannot be fixed")
 
     curve_keys = {k for curve in definition.curves for k in curve}
-    base = {k: v for k, v in definition.base.items() if k in reads or k not in DEFAULT_BASE}
+    base = {k: v for k, v in definition.base.items()
+            if (k in reads or k not in DEFAULT_BASE) and k != sweep.variable}
     base.update({k: v for k, v in overrides.items() if k not in curve_keys})
 
     curves: list[dict[str, float]] = []

@@ -46,12 +46,15 @@ class TwoBranchHamiltonian:
 
 @dataclass(frozen=True)
 class SusceptibilityParams:
-    """Monomer dipole mu, damping gamma, excitation energy delta_e, drive omega."""
+    """Monomer dipole mu, damping gamma, excitation energy delta_e, drive omega.
 
-    mu: float
-    gamma: float
-    delta_e: float
-    omega: float
+    The defaults are fig5's monomer, which ``jband-sim eval chi3`` also uses.
+    """
+
+    mu: float = 1.0
+    gamma: float = 0.5
+    delta_e: float = 3.0
+    omega: float = 1.0
 
     def __post_init__(self):
         for name in ("mu", "gamma", "delta_e", "omega"):

@@ -154,10 +154,12 @@ def test_resolve_rejects_a_key_the_study_does_not_read(name, params, sweep, key)
 @pytest.mark.parametrize("spec, base", [
     (ExperimentSpec("fig1a"), {"a": 0.0, "b": 0.0, "c": 30.0}),
     (ExperimentSpec("fig3"), {"t_k": 2.0}),
-    (ExperimentSpec("custom"), {"a": 0.0, "b": 0.0, "c": 30.0, "N": 200, "t": 2.0}),
+    # The sweep variable is set by every point, so the base does not fix it.
+    (ExperimentSpec("custom"), {"a": 0.0, "b": 0.0, "c": 30.0, "N": 200}),
+    (ExperimentSpec("custom", sweep=SweepAxis("N", 10, 50, 10)), {"a": 0.0, "b": 0.0, "c": 30.0, "t": 2.0}),
     (ExperimentSpec("custom", {"N": 40}, SweepAxis("M", 0, 40, 1)), {"N": 40}),
     (ExperimentSpec("fig5"), {"mu": 1.0, "gamma": 0.5, "delta_e": 3.0, "omega": 1.0}),
-], ids=["fig1a", "fig3", "custom", "custom-M", "fig5"])
+], ids=["fig1a", "fig3", "custom", "custom-N", "custom-M", "fig5"])
 def test_plan_keeps_only_the_keys_its_kind_reads(spec, base):
     assert resolve(spec).base == base
 

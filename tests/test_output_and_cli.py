@@ -13,6 +13,7 @@ import pytest
 from jband_sim import cli
 from jband_sim.experiments import EXPERIMENTS, CsvTable, ExperimentSpec, run_experiment
 from jband_sim.measures import extended_state_entropy
+from jband_sim.multipartite import SusceptibilityParams, chi3_magnitude
 from jband_sim.output import emit_svg, format_number, render_csv, render_svg, write_csv
 
 
@@ -289,6 +290,9 @@ def test_cli_binds_each_traced_name(name, module):
 def test_cli_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         cli.validate_params  # noqa: B018  (a removed helper stays absent)
+    for name in ("__path__", "__all__", "_EXPORTS"):  # the package's own attributes
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
     assert getattr(cli, "no_such_helper", None) is None
 
 
@@ -311,6 +315,14 @@ def test_cli_run_calls_the_functions_set_on_the_module(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--svg"]) == 0
     assert calls == ["parse_config", "emit_svg"]
     assert (tmp_path / "out" / "fig4.svg").is_file()
+
+
+def test_fig5_and_eval_chi3_use_the_default_monomer(capsys):
+    monomer = SusceptibilityParams()
+    for N, _, over_N in run_experiment(ExperimentSpec("fig5")).rows:
+        assert over_N == chi3_magnitude(int(N), monomer) / N
+    assert cli.main(["eval", "chi3", "N=40"]) == 0
+    assert capsys.readouterr().out == format_number(chi3_magnitude(40, monomer)) + "\n"
 
 
 # Every eval measure that needs no array, with the Bessel recurrence and series paths.
