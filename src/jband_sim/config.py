@@ -44,7 +44,8 @@ def parse_number(key: str, raw: str) -> int | float:
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse a configuration document into a validated experiment spec."""
-    from .experiments import DEFAULT_BASE, EXPERIMENTS, ExperimentSpec, SweepAxis, resolve
+    from .core import DEFAULT_BASE
+    from .experiments import EXPERIMENTS, ExperimentSpec, SweepAxis, resolve
 
     values: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):

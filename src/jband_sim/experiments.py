@@ -21,8 +21,6 @@ from typing import Callable, Iterable, Mapping
 
 from .config import INT_KEYS
 
-# DEFAULT_BASE and model_params live in core, so a scalar eval need not load
-# this module; they stay importable from here.
 from .core import DEFAULT_BASE, check_time, model_params
 from .measures import _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size
 from .multipartite import SusceptibilityParams, SymmetricState, chi3_magnitude, geometric_entropy, zeta_ratios
@@ -79,6 +77,7 @@ class ExperimentDef:
     extended_ref: bool = False
 
 
+_ENTROPY_KEYS = ("N", "a", "b", "c", "t")
 _T_GRID = SweepAxis("t", 0.0, 10.0, 0.05)
 _N_GRID = SweepAxis("N", 10, 300, 10)
 _MONOMER = SusceptibilityParams()
@@ -141,8 +140,8 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         ({},), SweepAxis("N", 4, 400, 4)),
     "custom": ExperimentDef(
         "custom",
-        "single-curve entropy study over the configured sweep variable "
-        "(defaults: a = 0, b = 0, c = 30, N = 200, t = 2)",
+        "single-curve entropy study over the configured sweep variable (defaults: "
+        + ", ".join(f"{k} = {v:g}" for k, v in DEFAULT_BASE.items() if k in _ENTROPY_KEYS) + ")",
         dict(DEFAULT_BASE), ({},), _T_GRID),
 }
 
@@ -281,7 +280,7 @@ def _geometric_point(values: Mapping[str, float]) -> tuple[float]:
 #          function from a plan's points, in sweep order, to their values;
 #          one (table suffix, column prefix) per value of a point)
 _KINDS: dict[str, tuple[tuple[str, ...], Callable, tuple[tuple[str, str], ...]]] = {
-    "entropy": (("N", "a", "b", "c", "t"), _entropy_sweep, (("", "S"), ("avg", "S_avg"))),
+    "entropy": (_ENTROPY_KEYS, _entropy_sweep, (("", "S"), ("avg", "S_avg"))),
     "concurrence_vs_N": (("N", "b", "c", "t_k"), partial(map, _concurrence_point), (("", "C"),)),
     "zeta_vs_N": (("N",), partial(map, _zeta_point), (("", "zeta1"), ("", "zeta2"))),
     "chi3_vs_N": (("N",), partial(map, _chi3_point), (("", "chi3_reduced"), ("", "chi3_over_N"))),

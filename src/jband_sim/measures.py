@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .core import AggregateDensityMatrix, ModelParams, OccupationProfile, check_integer
 
@@ -74,6 +74,12 @@ def entropy_report(profile: OccupationProfile) -> EntropyReport:
     return EntropyReport(total=total, average=total / profile.u.size)
 
 
+def point_entropy(u: Sequence[float]) -> EntropyReport:
+    """``entropy_report`` of a profile given as floats, summed with ``math.fsum``, without numpy."""
+    total = math.fsum(site_entropy(v) for v in u)
+    return EntropyReport(total=total, average=total / len(u))
+
+
 def ipr(profile: OccupationProfile) -> float:
     """Inverse participation ratio of the profile shape.
 
@@ -85,6 +91,14 @@ def ipr(profile: OccupationProfile) -> float:
         raise ValueError("profile carries no occupation")
     w = profile.u / s
     return 1.0 / float(w.dot(w))
+
+
+def point_ipr(u: Sequence[float]) -> float:
+    """``ipr`` of a profile given as floats, summed with ``math.fsum``, without numpy."""
+    s = math.fsum(u)
+    if s <= 0.0:
+        raise ValueError("profile carries no occupation")
+    return 1.0 / math.fsum(w * w for w in (v / s for v in u))
 
 
 def average_concurrence(zeta: float, N: int) -> ConcurrenceReport:

@@ -14,7 +14,8 @@ Temperature does not enter the propagator.
 A sweep evaluates its points as blocks: the profiles of many points that
 share one chain length N form the rows of one array, built from one Bessel
 row per distinct c t.  ``occupation_profile`` is the one-point case, so every
-profile comes from the same arithmetic, in the same order.
+profile comes from the same arithmetic, in the same order.  ``point_occupation``
+builds one profile as plain floats, for a caller that needs no array.
 
 All functions are pure; independent (site, time) points can be evaluated
 concurrently.
@@ -25,8 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .core import ModelParams, OccupationProfile, _check_occupation, check_time, make_window
-from .specfun import MAX_ORDER, _check_row, bessel_j, bessel_j_row
+from .core import (OCCUPATION_SUM_EPS, ModelParams, OccupationProfile, _check_occupation,
+                   check_time, make_window)
+from .specfun import MAX_ORDER, _check_row, _fsum_row, bessel_j, bessel_j_row
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,6 +109,23 @@ def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:
     """Transfer probabilities over the full centred window at time t."""
     t, p = _check_point(t, p)
     return OccupationProfile(u=_occupation_block([(t, p)])[0], t=t)
+
+
+def point_occupation(t: float, p: ModelParams) -> list[float]:
+    """``occupation_profile(t, p).u`` as a list of floats, built without numpy.
+
+    The checks and the arithmetic are the same, except that the Bessel row's
+    norm is summed as ``bessel_j`` sums it, so an entry can differ in its last bits.
+    """
+    t, p = _check_point(t, p)
+    row = _fsum_row(p.N // 2, p.c * t)
+    dressing, decay = math.exp(-p.a * p.a), math.exp(-p.b * p.b * t)
+    u = [dressing * ((j * j) * decay) for j in (row[abs(n)] for n in make_window(p.N))]
+    if not all(0.0 <= v <= 1.0 for v in u):
+        raise ValueError("occupation probabilities must lie in [0, 1]")
+    if math.fsum(u) > 1.0 + OCCUPATION_SUM_EPS:
+        raise ValueError("total occupation probability exceeds unity")
+    return u
 
 
 def window_survival(t: float, p: ModelParams) -> float:

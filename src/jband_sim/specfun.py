@@ -13,8 +13,8 @@ Python floats, which round exactly as numpy's float64 does.
 One descent serves both entry points; they differ only in how they sum the
 squares for the norm.  ``bessel_j_row`` sums them with numpy's ``dot``, so
 every row it returns, and every profile and table built from rows, keeps its
-bits.  ``bessel_j`` needs one order, not a row, so it sums the same squares
-with ``math.fsum`` and never imports numpy; its value lies within 2 ulp of
+bits.  ``bessel_j``, and the numpy-free point profile of ``propagator``, sum
+the same squares with ``math.fsum`` instead; a value lies within 2 ulp of
 the row's entry for that order.
 
 All functions are pure and keep no state between calls; every row returned is
@@ -117,6 +117,20 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     return row
 
 
+def _fsum_norm(f: list[float]) -> float:
+    """The norm of a descent, its squares summed with ``math.fsum``."""
+    return math.sqrt(f[0] * f[0] + 2.0 * math.fsum(v * v for v in f[1:]))
+
+
+def _fsum_row(n_max: int, x: float) -> list[float]:
+    """J_0(x) .. J_{n_max}(x) of checked arguments as floats, normalised by ``_fsum_norm``."""
+    if x < _SERIES_CUTOFF:
+        return [_series_term(n, x) for n in range(n_max + 1)]
+    f = _descent(n_max, x)
+    norm = _fsum_norm(f)
+    return [v / norm for v in f[: n_max + 1]]
+
+
 def bessel_j(n: int, x: float) -> float:
     """J_n(x) for integer ``n`` (any sign) and ``x >= 0``.
 
@@ -125,11 +139,13 @@ def bessel_j(n: int, x: float) -> float:
     """
     n = check_integer(n, "n")
     order, x = _check_row(abs(n), x)
+    # One order needs no row: normalising a whole row would add up to a
+    # quarter to the descent's time, and the series up to 2000 terms.
     if x < _SERIES_CUTOFF:
         value = _series_term(order, x)
     else:
         f = _descent(order, x)
-        value = f[order] / math.sqrt(f[0] * f[0] + 2.0 * math.fsum(v * v for v in f[1:]))
+        value = f[order] / _fsum_norm(f)
     if n < 0 and n % 2:
         return -value
     return value

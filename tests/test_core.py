@@ -178,7 +178,8 @@ PUBLIC_NAMES = {
     "coupling_sum_nn", "dipole_coupling", "emit_svg",
     "entropy_report", "exciton_energy", "extended_state_entropy",
     "geometric_entropy", "ipr", "lambda_max", "make_window", "occupation_profile",
-    "parse_config", "render_csv", "render_svg", "resonance_coherence_size",
+    "parse_config", "point_entropy", "point_ipr", "point_occupation", "render_csv",
+    "render_svg", "resonance_coherence_size",
     "run_experiment", "run_experiment_outputs", "site_entropy",
     "spano_coherence_size", "transfer_probability", "two_exciton_diagonalize",
     "window_survival", "write_csv", "zeta_ratios",

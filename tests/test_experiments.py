@@ -5,13 +5,12 @@ import pytest
 
 from jband_sim import experiments, propagator
 from jband_sim.config import ConfigError, parse_config
-from jband_sim.core import make_window
+from jband_sim.core import make_window, model_params
 from jband_sim.experiments import (
     EXPERIMENTS,
     CsvTable,
     ExperimentSpec,
     SweepAxis,
-    model_params,
     resolve,
     run_experiment,
     run_experiment_outputs,

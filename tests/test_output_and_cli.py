@@ -11,10 +11,13 @@ from pathlib import Path
 import pytest
 
 from jband_sim import cli
+from jband_sim.config import parse_number
+from jband_sim.core import model_params
 from jband_sim.experiments import EXPERIMENTS, CsvTable, ExperimentSpec, run_experiment
-from jband_sim.measures import extended_state_entropy
+from jband_sim.measures import entropy_report, extended_state_entropy, ipr
 from jband_sim.multipartite import SusceptibilityParams, chi3_magnitude
 from jband_sim.output import emit_svg, format_number, render_csv, render_svg, write_csv
+from jband_sim.propagator import occupation_profile, window_survival
 
 
 def small_table():
@@ -325,21 +328,25 @@ def test_fig5_and_eval_chi3_use_the_default_monomer(capsys):
     assert capsys.readouterr().out == format_number(chi3_magnitude(40, monomer)) + "\n"
 
 
-# Every eval measure that needs no array, with the Bessel recurrence and series paths.
-SCALAR_EVALS = [
+# Every eval measure, with the Bessel recurrence and series paths.
+EVALS = [
     ("spano", "c=15", "b=0.5", "t_k=2"), ("chi3", "N=40"), ("zeta1", "N=30"), ("zeta2", "N=30"),
     ("geometric_entropy", "N=20", "M=3"), ("lambda_max", "N=20", "M=3"),
     ("bessel", "n=500", "x=477.5"), ("bessel", "n=-3", "x=1e-9"),
     ("transfer", "n=4", "t=2", "c=3"), ("concurrence", "zeta=3", "N=20"),
+    ("concurrence_scaled", "zeta=3", "N=20"),
     ("extended_ref", "N=50"), ("resonance",), ("site_entropy", "u=0.2"),
     ("exciton_energy", "k=0.5", "delta_e=2", "d_shift=0", "v=-0.2"),
     ("dipole", "mu_i=1", "mu_j=1", "d=2"), ("coupling_nn", "v=0.3", "k=1"),
+    ("entropy", "t=2", "N=100"), ("entropy_avg", "t=1e-9", "N=3"),
+    ("survival", "t=2", "N=4001", "a=0.3", "b=0.2"), ("ipr", "t=0", "N=2"),
 ]
 
 
-def test_scalar_evals_do_not_import_numpy():
-    # numpy's import is most of a cold eval, so only the measures that build
-    # arrays may load it.  A fresh interpreter starts without it.
+def test_no_eval_imports_numpy():
+    # numpy's import is most of a cold eval, and no measure needs an array.
+    # A fresh interpreter starts without it.
+    assert {argv[0] for argv in EVALS} == set(cli.EVAL_MEASURES)
     script = f"""
 import sys
 import jband_sim
@@ -349,11 +356,9 @@ assert "numpy" not in sys.modules, "import jband_sim"
 assert "fig1a" in jband_sim.experiments.EXPERIMENTS
 assert "numpy" not in sys.modules, "jband_sim.experiments"
 from jband_sim import cli
-for argv in {SCALAR_EVALS!r}:
+for argv in {EVALS!r}:
     assert cli.main(["eval", *argv]) == 0, argv
     assert "numpy" not in sys.modules, argv
-assert cli.main(["eval", "entropy", "t=2", "N=100"]) == 0
-assert "numpy" in sys.modules
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -361,11 +366,59 @@ assert "numpy" in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
-# The scalar measures of the benchmark's cold-eval mix, and the module that defines each.
+# The array path of each profile measure, as the library computes it.
+PROFILE_MEASURES = {
+    "survival": window_survival,
+    "entropy": lambda t, p: entropy_report(occupation_profile(t, p)).total,
+    "entropy_avg": lambda t, p: entropy_report(occupation_profile(t, p)).average,
+    "ipr": lambda t, p: ipr(occupation_profile(t, p)),
+}
+
+
+def _profile_measure_cases():
+    mix = runpy.run_path(str(ROOT / "bench" / "workloads.py"))["cli_eval_mix"]
+    cases = set()
+    for seed in range(1, 21):
+        for measure, pairs in mix(seed):
+            if measure in PROFILE_MEASURES:
+                cases.add((measure, pairs))
+                if measure == "entropy":
+                    cases.add(("entropy_avg", pairs))
+    # Window edges, the series path (c t < 1e-8), no occupation left (a = 30,
+    # where ipr fails), subnormal weights and c t outside the Bessel envelope.
+    edges = [("t=2", "N=2"), ("t=2", "N=3"), ("t=2", "N=4001", "c=40"), ("t=0", "N=50"),
+             ("t=1e-10", "N=9", "c=20"), ("t=2", "N=40", "a=30"), ("t=0.3", "N=60", "a=27.2"),
+             ("t=40", "N=4001"), ("t=0.5", "N=101", "a=0.2", "b=3")]
+    cases |= {(measure, pairs) for measure in PROFILE_MEASURES for pairs in edges}
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("measure,pairs", _profile_measure_cases())
+def test_profile_evals_match_the_array_path(measure, pairs, capsys):
+    # eval builds its one profile from floats; it prints what the library's
+    # array path computes, or fails with the same message and exit code.
+    kw = {key: parse_number(key, raw) for key, raw in (pair.split("=") for pair in pairs)}
+    code = cli.main(["eval", measure, *pairs])
+    out, err = capsys.readouterr()
+    try:
+        expected = PROFILE_MEASURES[measure](kw["t"], model_params(kw))
+    except ValueError as exc:
+        assert (code, out, err) == (cli.EXIT_DOMAIN, "", f"domain error: {exc}\n")
+        return
+    assert (code, out, err) == (0, format_number(expected) + "\n", "")
+    value = cli.EVAL_MEASURES[measure][2](kw)
+    assert math.isclose(value, expected, rel_tol=1e-14, abs_tol=0.0), (value, expected)
+
+
+# The measures of the benchmark's cold-eval mix, and the module that defines each.
 COLD_EVALS = [
     (("bessel", "n=-7", "x=31.5"), "specfun"), (("spano", "c=15", "b=0.5", "t_k=2"), "measures"),
     (("chi3", "N=40", "mu=1", "gamma=0.5", "delta_e=3", "omega=1"), "multipartite"),
     (("geometric_entropy", "N=20", "M=3"), "multipartite"), (("zeta1", "N=30"), "multipartite"),
+    (("entropy", "t=2", "N=100", "c=12"), "propagator"),
+    (("entropy_avg", "t=2", "N=100", "a=0.3"), "propagator"),
+    (("survival", "t=1.5", "N=200", "b=0.4"), "propagator"),
+    (("ipr", "t=0.5", "N=50"), "propagator"),
 ]
 
 

@@ -12,6 +12,7 @@ from jband_sim.propagator import (
     dipole_coupling,
     exciton_energy,
     occupation_profile,
+    point_occupation,
     transfer_probability,
     window_survival,
 )
@@ -138,6 +139,17 @@ def test_profile_matches_pointwise_transfer():
     prof = occupation_profile(1.7, p)
     for n, u in zip(make_window(len(prof.u)), prof.u):
         assert u == pytest.approx(transfer_probability(n, 1.7, p), abs=1e-10)
+
+
+@pytest.mark.parametrize("t,p", [
+    (0.0, params(N=2)), (2.0, params(N=3)), (1.7, params(a=0.3, b=0.2, c=12.0, N=30)),
+    (1e-10, params(c=20.0, N=9)), (0.3, params(a=27.2, N=60)), (5.0, params(c=40.0, N=401)),
+])
+def test_point_occupation_matches_the_array_profile(t, p):
+    # The float profile is the array profile site by site, up to the fsum norm.
+    point = point_occupation(t, p)
+    assert type(point) is list and all(type(v) is float for v in point)
+    np.testing.assert_allclose(point, occupation_profile(t, p).u, rtol=1e-14, atol=1e-300)
 
 
 def test_band_edges():
