@@ -3,7 +3,8 @@
 The public names below, and the submodules that define them, load on first
 access (PEP 562), so ``import jband_sim`` costs almost nothing.  numpy loads
 only when an array is first built: the scalar measures, ``bessel_j``, the
-``point_*`` profile functions and every ``jband-sim eval`` run without it.
+one-point profile functions (``occupation_profile``, ``window_survival``,
+``entropy_report``, ``ipr``) and every ``jband-sim eval`` run without it.
 """
 __version__ = "0.1.0"
 
@@ -14,15 +15,14 @@ _EXPORTS = {
     "experiments": ("CsvTable", "EXPERIMENTS", "ExperimentSpec", "SweepAxis",
                     "run_experiment", "run_experiment_outputs"),
     "measures": ("ConcurrenceReport", "EntropyReport", "average_concurrence", "coherence_size",
-                 "entropy_report", "extended_state_entropy", "ipr", "point_entropy", "point_ipr",
-                 "resonance_coherence_size", "site_entropy", "spano_coherence_size"),
+                 "entropy_report", "extended_state_entropy", "ipr", "resonance_coherence_size",
+                 "site_entropy", "spano_coherence_size"),
     "multipartite": ("SusceptibilityParams", "SymmetricState", "TwoBranchHamiltonian",
                      "chi3_magnitude", "coupling_sum_nn", "geometric_entropy", "lambda_max",
                      "two_exciton_diagonalize", "zeta_ratios"),
     "output": ("emit_svg", "render_csv", "render_svg", "write_csv"),
     "propagator": ("DipolePair", "DispersionParams", "dipole_coupling", "exciton_energy",
-                   "occupation_profile", "point_occupation", "transfer_probability",
-                   "window_survival"),
+                   "occupation_profile", "transfer_probability", "window_survival"),
     "specfun": ("bessel_j", "bessel_j_row"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

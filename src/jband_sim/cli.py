@@ -13,16 +13,15 @@ public name of the package binds here on first access, from the package's
 own lazy table (PEP 562), so a cold ``eval`` adds only the module that
 defines its measure, and ``run`` and ``list`` load ``experiments`` when they
 are called.  No ``eval`` loads numpy: the profile measures (``survival``,
-``entropy``, ``entropy_avg``, ``ipr``) reduce ``point_occupation``'s list of
-floats, not ``occupation_profile``'s array.  Names are bound on this module,
-and the commands read them from it, for one reason: a function set on the
-module (``cli.parse_config = ...``, as a tracer or ``monkeypatch`` does) is
-the one they call.
+``entropy``, ``entropy_avg``, ``ipr``) build their one ``occupation_profile``
+from Python floats.  Names are bound on this module, and the commands read
+them from it, for one reason: a function set on the module
+(``cli.parse_config = ...``, as a tracer or ``monkeypatch`` does) is the one
+they call.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -54,20 +53,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _point(kw: dict) -> list[float]:
-    return _cli.point_occupation(kw["t"], model_params(kw))
-
-
 # measure name -> (required keys, optional keys, evaluator over the parsed key/value dict)
 EVAL_MEASURES = {
     "bessel": ("n x", "", lambda kw: _cli.bessel_j(kw["n"], kw["x"])),
     "transfer": ("n t", "a b c",
                  lambda kw: _cli.transfer_probability(kw["n"], kw["t"], model_params(kw))),
-    "survival": ("t", "N a b c", lambda kw: math.fsum(_point(kw))),
-    "entropy": ("t", "N a b c", lambda kw: _cli.point_entropy(_point(kw)).total),
-    "entropy_avg": ("t", "N a b c", lambda kw: _cli.point_entropy(_point(kw)).average),
+    "survival": ("t", "N a b c", lambda kw: _cli.window_survival(kw["t"], model_params(kw))),
+    "entropy": ("t", "N a b c", lambda kw: _cli.entropy_report(
+        _cli.occupation_profile(kw["t"], model_params(kw))).total),
+    "entropy_avg": ("t", "N a b c", lambda kw: _cli.entropy_report(
+        _cli.occupation_profile(kw["t"], model_params(kw))).average),
     "extended_ref": ("", "N", lambda kw: _cli.extended_state_entropy(kw.get("N", DEFAULT_BASE["N"]))),
-    "ipr": ("t", "N a b c", lambda kw: _cli.point_ipr(_point(kw))),
+    "ipr": ("t", "N a b c", lambda kw: _cli.ipr(_cli.occupation_profile(kw["t"], model_params(kw)))),
     "site_entropy": ("u", "", lambda kw: _cli.site_entropy(kw["u"])),
     "concurrence": ("zeta N", "",
                     lambda kw: _cli.average_concurrence(kw["zeta"], kw["N"]).avg_concurrence),

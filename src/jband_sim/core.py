@@ -4,8 +4,8 @@ Every record is immutable and stores only independent inputs: no field has to
 agree with another field or with an array's shape.  Instances carry no hidden
 state and can be shared freely between threads or worker processes.
 
-Only the array records need numpy, and they import it when the first one is
-built, so the scalar records and checks load without it.
+Only ``AggregateDensityMatrix`` needs numpy, and it imports it when the first
+one is built, so the other records and checks load without it.
 """
 from __future__ import annotations
 
@@ -97,36 +97,30 @@ def make_window(N: int) -> range:
     return range(-(N // 2), N - N // 2)
 
 
-def _check_occupation(u: np.ndarray) -> None:
-    """``ValueError`` unless every entry of ``u`` lies in [0, 1] and no row sums above 1.
-
-    ``u`` is one profile (1-D) or one profile per row (2-D).
-    """
-    if not ((u >= 0) & (u <= 1)).all():  # NaN fails both comparisons
-        raise ValueError("occupation probabilities must lie in [0, 1]")
-    if (u.sum(axis=-1) > 1.0 + OCCUPATION_SUM_EPS).any():
-        raise ValueError("total occupation probability exceeds unity")
-
-
 @dataclass(frozen=True)
 class OccupationProfile:
     """Per-site excitation probabilities at time ``t``.
 
-    ``u[i]`` belongs to site ``make_window(len(u))[i]``.
+    ``u`` is stored as a tuple of floats; ``u[i]`` belongs to site
+    ``make_window(len(u))[i]``.
     """
 
-    u: np.ndarray
+    u: tuple[float, ...]
     t: float
 
     def __post_init__(self):
-        import numpy as np
-
-        u = np.asarray(self.u, dtype=float)
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        if u.ndim != 1 or u.size < 2:
+        try:
+            # A string would iterate as characters, not as one value.
+            u = () if isinstance(self.u, str) else tuple(map(float, self.u))
+        except TypeError:  # a scalar, or the rows of a 2-D input
+            u = ()
+        if len(u) < 2:
             raise ValueError("u must be a vector of at least 2 site probabilities")
-        _check_occupation(u)
+        if not all(0.0 <= v <= 1.0 for v in u):  # NaN fails both comparisons
+            raise ValueError("occupation probabilities must lie in [0, 1]")
+        if math.fsum(u) > 1.0 + OCCUPATION_SUM_EPS:
+            raise ValueError("total occupation probability exceeds unity")
+        object.__setattr__(self, "u", u)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from .propagator import _check_point, _occupation_block
 # probabilities (always at least one row), so its working memory stays a few
 # hundred kilobytes whatever the window size.
 _BLOCK_ELEMENTS = 2**12
+#: Largest sweep grid; the bundled studies use at most 201 points.
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,14 @@ def sweep_grid(axis: SweepAxis) -> list[float]:
         raise ValueError("sweep step must be > 0")
     if not (axis.start < axis.stop):
         raise ValueError("sweep start must be < stop")
-    count = int(math.floor((axis.stop - axis.start) / axis.step + 1e-9)) + 1
+    if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
+        raise ValueError("sweep start and stop must be finite")
+    # Compared as a float, so a quotient that overflows to inf is rejected
+    # before int() sees it, and no grid is allocated past the limit.
+    steps = (axis.stop - axis.start) / axis.step + 1e-9
+    if steps >= MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep must have at most {MAX_SWEEP_POINTS} points")
+    count = int(math.floor(steps)) + 1
     grid = [axis.start + i * axis.step for i in range(count)]
     return [int(round(v)) for v in grid] if axis.variable in INT_KEYS else grid
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .core import AggregateDensityMatrix, ModelParams, OccupationProfile, check_integer
 
@@ -69,13 +69,8 @@ def extended_state_entropy(N: int) -> float:
 
 
 def entropy_report(profile: OccupationProfile) -> EntropyReport:
-    """Summed and averaged site entropies of a profile."""
-    total = float(_site_entropies(profile.u).sum())
-    return EntropyReport(total=total, average=total / profile.u.size)
-
-
-def point_entropy(u: Sequence[float]) -> EntropyReport:
-    """``entropy_report`` of a profile given as floats, summed with ``math.fsum``, without numpy."""
+    """Summed and averaged site entropies of a profile, summed with ``math.fsum``."""
+    u = profile.u
     total = math.fsum(site_entropy(v) for v in u)
     return EntropyReport(total=total, average=total / len(u))
 
@@ -84,17 +79,10 @@ def ipr(profile: OccupationProfile) -> float:
     """Inverse participation ratio of the profile shape.
 
     Weights are renormalised before squaring so the measure reflects the
-    shape of the surviving occupation, not its overall survival.
+    shape of the surviving occupation, not its overall survival.  Both sums
+    use ``math.fsum``.
     """
-    s = float(profile.u.sum())
-    if s <= 0.0:
-        raise ValueError("profile carries no occupation")
-    w = profile.u / s
-    return 1.0 / float(w.dot(w))
-
-
-def point_ipr(u: Sequence[float]) -> float:
-    """``ipr`` of a profile given as floats, summed with ``math.fsum``, without numpy."""
+    u = profile.u
     s = math.fsum(u)
     if s <= 0.0:
         raise ValueError("profile carries no occupation")
@@ -106,8 +94,9 @@ def average_concurrence(zeta: float, N: int) -> ConcurrenceReport:
     N = check_integer(N, "N", 2)
     if not (1.0 <= zeta <= N):
         raise ValueError("zeta must lie in [1, N]")
+    # scaled is formed directly: avg * N / 2 is 0 once N (N - 1) has overflowed.
     avg = 2.0 * (zeta - 1.0) / (N * (N - 1.0))
-    return ConcurrenceReport(avg_concurrence=avg, scaled=avg * N / 2.0)
+    return ConcurrenceReport(avg_concurrence=avg, scaled=(zeta - 1.0) / (N - 1.0))
 
 
 def coherence_size(rho: AggregateDensityMatrix) -> float:

@@ -11,11 +11,10 @@ which stays stable for the large orders (hundreds) and large arguments
 Python floats, which round exactly as numpy's float64 does.
 
 One descent serves both entry points; they differ only in how they sum the
-squares for the norm.  ``bessel_j_row`` sums them with numpy's ``dot``, so
-every row it returns, and every profile and table built from rows, keeps its
-bits.  ``bessel_j``, and the numpy-free point profile of ``propagator``, sum
-the same squares with ``math.fsum`` instead; a value lies within 2 ulp of
-the row's entry for that order.
+squares for the norm.  ``bessel_j_row``, which the sweeps build their tables
+from, sums them with numpy's ``dot``.  ``bessel_j``, and the one-point
+profile of ``propagator``, sum the same squares with ``math.fsum`` and never
+load numpy; a value lies within 2 ulp of the row's entry for that order.
 
 All functions are pure and keep no state between calls; every row returned is
 a new read-only array.  Callers that need one row for several points, such as
@@ -93,6 +92,17 @@ def _check_row(n_max: int, x: float) -> tuple[int, float]:
     return n_max, x
 
 
+def _series_row(n_max: int, x: float) -> list[float]:
+    """J_0(x) .. J_{n_max}(x) of checked ``x < _SERIES_CUTOFF`` by the two-term series."""
+    row = [0.0] * (n_max + 1)
+    for n in range(n_max + 1):
+        term = _series_term(n, x)
+        if term == 0.0:
+            break
+        row[n] = term
+    return row
+
+
 def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     """Evaluate J_0(x) .. J_{n_max}(x) in one downward recurrence pass.
 
@@ -103,12 +113,7 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
 
     n_max, x = _check_row(n_max, x)
     if x < _SERIES_CUTOFF:
-        row = np.zeros(n_max + 1)
-        for n in range(n_max + 1):
-            term = _series_term(n, x)
-            if term == 0.0:
-                break
-            row[n] = term
+        row = np.array(_series_row(n_max, x))
     else:
         f = np.array(_descent(n_max, x))
         norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
@@ -117,17 +122,12 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     return row
 
 
-def _fsum_norm(f: list[float]) -> float:
-    """The norm of a descent, its squares summed with ``math.fsum``."""
-    return math.sqrt(f[0] * f[0] + 2.0 * math.fsum(v * v for v in f[1:]))
-
-
 def _fsum_row(n_max: int, x: float) -> list[float]:
-    """J_0(x) .. J_{n_max}(x) of checked arguments as floats, normalised by ``_fsum_norm``."""
+    """J_0(x) .. J_{n_max}(x) of checked arguments as floats; the norm sums with ``math.fsum``."""
     if x < _SERIES_CUTOFF:
-        return [_series_term(n, x) for n in range(n_max + 1)]
+        return _series_row(n_max, x)
     f = _descent(n_max, x)
-    norm = _fsum_norm(f)
+    norm = math.sqrt(f[0] * f[0] + 2.0 * math.fsum(v * v for v in f[1:]))
     return [v / norm for v in f[: n_max + 1]]
 
 
@@ -139,13 +139,7 @@ def bessel_j(n: int, x: float) -> float:
     """
     n = check_integer(n, "n")
     order, x = _check_row(abs(n), x)
-    # One order needs no row: normalising a whole row would add up to a
-    # quarter to the descent's time, and the series up to 2000 terms.
-    if x < _SERIES_CUTOFF:
-        value = _series_term(order, x)
-    else:
-        f = _descent(order, x)
-        value = f[order] / _fsum_norm(f)
+    value = _fsum_row(order, x)[order]
     if n < 0 and n % 2:
         return -value
     return value

@@ -1,5 +1,7 @@
+import ast
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,11 +135,14 @@ def test_profile_rejects_shape_mismatch():
         OccupationProfile(u=np.array([[0.5, 0.0], [0.0, 0.5]]), t=0.0)
     with pytest.raises(ValueError, match="u must be a vector"):
         OccupationProfile(u=np.array([1.0]), t=0.0)
+    for u in (0.5, "10"):  # a scalar, and a string that is not a list of digits
+        with pytest.raises(ValueError, match="u must be a vector"):
+            OccupationProfile(u=u, t=0.0)
 
 
 def test_profile_is_readonly():
     prof = OccupationProfile(u=np.array([0.0, 1.0, 0.0]), t=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # a tuple
         prof.u[0] = 0.5
 
 
@@ -178,7 +183,7 @@ PUBLIC_NAMES = {
     "coupling_sum_nn", "dipole_coupling", "emit_svg",
     "entropy_report", "exciton_energy", "extended_state_entropy",
     "geometric_entropy", "ipr", "lambda_max", "make_window", "occupation_profile",
-    "parse_config", "point_entropy", "point_ipr", "point_occupation", "render_csv",
+    "parse_config", "render_csv",
     "render_svg", "resonance_coherence_size",
     "run_experiment", "run_experiment_outputs", "site_entropy",
     "spano_coherence_size", "transfer_probability", "two_exciton_diagonalize",
@@ -190,3 +195,43 @@ def test_public_names_are_pinned():
     exported = {name for name in dir(jband_sim) if not name.startswith("_")
                 and not isinstance(getattr(jband_sim, name), types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def unused_module_imports(source: str) -> list[str]:
+    """Names that ``source`` imports at module level (``if`` blocks included) and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+
+    def collect(body):
+        for node in body:
+            if isinstance(node, ast.If):  # ``if TYPE_CHECKING:`` imports count too
+                collect(node.body)
+                collect(node.orelse)
+            elif isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+
+    collect(tree.body)
+    nodes = list(ast.walk(tree))
+    # A quoted annotation is read too: parse it as an expression.
+    annotations = [n.annotation for n in nodes if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for ann in annotations:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            nodes += ast.walk(ast.parse(ann.value, mode="eval"))
+    used = {n.id for n in nodes if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_module_imports_are_found():
+    source = ("from __future__ import annotations\nimport math, os.path\n"
+              "from typing import TYPE_CHECKING, Sequence\nif TYPE_CHECKING:\n    import numpy as np\n"
+              "def f(u: 'np.ndarray') -> int:\n    return TYPE_CHECKING\n")
+    assert unused_module_imports(source) == ["line 2: math", "line 2: os", "line 3: Sequence"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(jband_sim.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_unused_module_imports(path):
+    assert unused_module_imports(path.read_text(encoding="utf-8")) == []

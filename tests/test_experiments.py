@@ -16,9 +16,8 @@ from jband_sim.experiments import (
     run_experiment_outputs,
     sweep_grid,
 )
-from jband_sim.measures import entropy_report, extended_state_entropy
+from jband_sim.measures import _site_entropies, extended_state_entropy
 from jband_sim.output import render_csv
-from jband_sim.propagator import occupation_profile
 from jband_sim.specfun import bessel_j_row
 
 PLATEAU = 2.0 - math.log(2.0)
@@ -253,6 +252,15 @@ def test_every_preset_resolves():
         assert len(sweep_grid(plan.sweep)) >= 2
 
 
+def test_sweep_grid_point_limit():
+    limit = experiments.MAX_SWEEP_POINTS
+    assert len(sweep_grid(SweepAxis("t", 0.0, limit - 1.0, 1.0))) == limit
+    for axis in (SweepAxis("t", 0.0, float(limit), 1.0),
+                 SweepAxis("t", -1e308, 1e308, 1.0)):  # the span overflows to inf
+        with pytest.raises(ValueError, match=f"sweep must have at most {limit} points"):
+            sweep_grid(axis)
+
+
 # Independent mirror of every preset's pinned values; guards against the
 # defaults drifting away from their documented settings.
 PINNED_DEFAULTS = {
@@ -296,7 +304,7 @@ def point_profile(t, p):
 
 
 def point_by_point_tables(spec):
-    """The entropy tables of ``spec``, one ``entropy_report`` per point."""
+    """The entropy tables of ``spec``, one ``point_profile`` per point."""
     plan = resolve(spec)
     var = plan.sweep.variable
     totals, averages = [], []
@@ -305,11 +313,10 @@ def point_by_point_tables(spec):
         for curve in plan.curves:
             values = {**plan.base, **curve, var: x}
             t, p = values["t"], model_params(values)
-            profile = occupation_profile(t, p)
-            assert profile.u.tobytes() == point_profile(float(t), p).tobytes()
-            report = entropy_report(profile)
-            total.append(report.total)
-            average.append(report.average)
+            u = point_profile(float(t), p)
+            entropy = float(_site_entropies(u).sum())
+            total.append(entropy)
+            average.append(entropy / u.size)
         if plan.extended_ref:
             per_site = extended_state_entropy(x)
             total.append(x * per_site)

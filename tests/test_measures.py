@@ -156,6 +156,12 @@ def test_concurrence_intermediate_value():
     assert average_concurrence(2.0, 4).avg_concurrence == pytest.approx(1.0 / 6, abs=1e-15)
 
 
+@given(st.integers(min_value=2, max_value=10**6), st.floats(min_value=0.0, max_value=1.0))
+def test_scaled_concurrence_is_n_over_2_times_the_average(N, frac):
+    report = average_concurrence(1.0 + frac * (N - 1), N)
+    assert report.scaled == pytest.approx(report.avg_concurrence * N / 2.0, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("zeta,N", [(0.5, 4), (5.0, 4), (1.0, 1)])
 def test_concurrence_rejects_out_of_range(zeta, N):
     with pytest.raises(ValueError):

@@ -14,10 +14,10 @@ from jband_sim import cli
 from jband_sim.config import parse_number
 from jband_sim.core import model_params
 from jband_sim.experiments import EXPERIMENTS, CsvTable, ExperimentSpec, run_experiment
-from jband_sim.measures import entropy_report, extended_state_entropy, ipr
+from jband_sim.measures import _site_entropies, extended_state_entropy
 from jband_sim.multipartite import SusceptibilityParams, chi3_magnitude
 from jband_sim.output import emit_svg, format_number, render_csv, render_svg, write_csv
-from jband_sim.propagator import occupation_profile, window_survival
+from jband_sim.propagator import _check_point, _occupation_block
 
 
 def small_table():
@@ -123,6 +123,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "experiment = fig1b\nt = -1\n")
     assert cli.main(["run", "--config", str(cfg)]) == 1
     assert "config error: t must be" in capsys.readouterr().err
+    # Non-finite sweep bounds, and a grid past the point limit (here one whose
+    # point count overflows to inf), are config errors, not tracebacks.
+    for text, message in [
+        ("experiment = custom\nsweep_stop = inf\n", "sweep start and stop must be finite"),
+        ("experiment = fig1b\nsweep_start = -inf\n", "sweep start and stop must be finite"),
+        ("experiment = custom\nsweep_stop = 1e300\nsweep_step = 1e-10\n",
+         "sweep must have at most 100000 points"),
+    ]:
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    # A tiny step is rejected before its grid is built.  The child runs under a
+    # 1 GB address-space limit, so a grid built anyway fails fast with a
+    # MemoryError instead of filling the host's memory.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    for step in ("1e-9", "1e-6"):
+        cfg = write_config(tmp_path, f"experiment = custom\nsweep_step = {step}\n")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                  "from jband_sim import cli\n"
+                  f"sys.exit(cli.main(['run', '--config', {str(cfg)!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == \
+            (1, "config error: sweep must have at most 100000 points\n"), step
 
 
 def test_cli_huge_integer_n_is_a_domain_error(tmp_path, capsys):
@@ -250,6 +275,12 @@ def test_cli_eval_keeps_an_integer_beyond_the_float_range(capsys):
     assert capsys.readouterr().out == format_number(extended_state_entropy(10**400)) + "\n"
 
 
+def test_cli_eval_scaled_concurrence_of_a_huge_chain(capsys):
+    # The average concurrence underflows to 0 here; N/2 times it does not.
+    assert cli.main(["eval", "concurrence_scaled", "zeta=2", "N=1e200"]) == 0
+    assert capsys.readouterr().out == "1e-200\n"
+
+
 def test_config_integral_float_literal_is_an_integer(tmp_path):
     # One integer rule for configuration files and eval: N = 3e2 is N = 300.
     outputs = []
@@ -366,12 +397,21 @@ for argv in {EVALS!r}:
     assert proc.returncode == 0, proc.stderr
 
 
-# The array path of each profile measure, as the library computes it.
+def _block_ipr(u):
+    s = u.sum()
+    if s <= 0.0:
+        raise ValueError("profile carries no occupation")
+    w = u / s
+    return 1.0 / w.dot(w)
+
+
+# Each profile measure reduced, with numpy, from the sweep's block path: a
+# reference that shares only the Bessel descent with what eval calls.
 PROFILE_MEASURES = {
-    "survival": window_survival,
-    "entropy": lambda t, p: entropy_report(occupation_profile(t, p)).total,
-    "entropy_avg": lambda t, p: entropy_report(occupation_profile(t, p)).average,
-    "ipr": lambda t, p: ipr(occupation_profile(t, p)),
+    "survival": lambda u: u.sum(),
+    "entropy": lambda u: _site_entropies(u).sum(),
+    "entropy_avg": lambda u: _site_entropies(u).sum() / u.size,
+    "ipr": _block_ipr,
 }
 
 
@@ -395,13 +435,14 @@ def _profile_measure_cases():
 
 @pytest.mark.parametrize("measure,pairs", _profile_measure_cases())
 def test_profile_evals_match_the_array_path(measure, pairs, capsys):
-    # eval builds its one profile from floats; it prints what the library's
-    # array path computes, or fails with the same message and exit code.
+    # eval builds its one profile from floats; it prints what the sweep's
+    # block path computes, or fails with the same message and exit code.
     kw = {key: parse_number(key, raw) for key, raw in (pair.split("=") for pair in pairs)}
     code = cli.main(["eval", measure, *pairs])
     out, err = capsys.readouterr()
     try:
-        expected = PROFILE_MEASURES[measure](kw["t"], model_params(kw))
+        u = _occupation_block([_check_point(kw["t"], model_params(kw))])[0]
+        expected = float(PROFILE_MEASURES[measure](u))
     except ValueError as exc:
         assert (code, out, err) == (cli.EXIT_DOMAIN, "", f"domain error: {exc}\n")
         return
