@@ -138,11 +138,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    from .experiments import EXPERIMENTS, ExperimentSpec, resolve, sweep_grid
+    from .experiments import EXPERIMENTS, ExperimentSpec, resolve, sweep_grid, title
 
     for name in EXPERIMENTS:
         plan = resolve(ExperimentSpec(name))
-        print(f"{name}: {plan.description}")
+        print(f"{name}: {title(plan)}")
         fixed = " ".join(f"{k}={v:g}" for k, v in plan.base.items())
         if fixed:
             print(f"  fixed: {fixed}")

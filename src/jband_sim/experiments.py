@@ -72,84 +72,39 @@ class ExperimentDef:
     """A bundled study, named by its ``EXPERIMENTS`` key; ``resolve`` merges in a spec's overrides."""
 
     kind: str
-    description: str
     base: Mapping[str, float]
     curves: tuple[Mapping[str, float], ...]
     sweep: SweepAxis
     extended_ref: bool = False
 
 
-_ENTROPY_KEYS = ("N", "a", "b", "c", "t")
 _T_GRID = SweepAxis("t", 0.0, 10.0, 0.05)
 _N_GRID = SweepAxis("N", 10, 300, 10)
-_MONOMER = SusceptibilityParams()
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
-    "fig1a": ExperimentDef(
-        "entropy",
-        "site entropy versus time for chain lengths N = 200, 100, 50 (a = b = 0, c = 30)",
-        {"a": 0.0, "b": 0.0, "c": 30.0},
-        ({"N": 200}, {"N": 100}, {"N": 50}), _T_GRID),
-    "fig1b": ExperimentDef(
-        "entropy",
-        "site entropy versus chain length at t = 2, 5, 9 (a = b = 0, c = 30)",
-        {"a": 0.0, "b": 0.0, "c": 30.0},
-        ({"t": 2.0}, {"t": 5.0}, {"t": 9.0}), _N_GRID),
-    "fig1c": ExperimentDef(
-        "entropy",
-        "site entropy versus chain length at c = 10, 20, 40 (a = b = 0, t = 2)",
-        {"a": 0.0, "b": 0.0, "t": 2.0},
-        ({"c": 10.0}, {"c": 20.0}, {"c": 40.0}), _N_GRID),
-    "fig1d": ExperimentDef(
-        "entropy",
-        "site entropy versus chain length at b = 0, 0.3, 0.5 plus the extended-state "
-        "reference (a = 0, c = 30, t = 6)",
-        {"a": 0.0, "c": 30.0, "t": 6.0},
-        ({"b": 0.0}, {"b": 0.3}, {"b": 0.5}), _N_GRID, extended_ref=True),
-    "fig2a": ExperimentDef(
-        "entropy",
-        "site entropy versus time at a = 0, 0.3, 0.7, 1.5 (N = 150, b = 0, c = 10)",
-        {"b": 0.0, "c": 10.0, "N": 150},
-        ({"a": 0.0}, {"a": 0.3}, {"a": 0.7}, {"a": 1.5}), _T_GRID),
-    "fig2b": ExperimentDef(
-        "entropy",
-        "site entropy versus time at b = 0, 0.5, 1 (N = 100, a = 0, c = 20)",
-        {"a": 0.0, "c": 20.0, "N": 100},
-        ({"b": 0.0}, {"b": 0.5}, {"b": 1.0}), _T_GRID),
-    "fig2c": ExperimentDef(
-        "entropy",
-        "site entropy versus time at c = 40, 20, 5 (N = 200, a = 0.5, b = 0.3)",
-        {"a": 0.5, "b": 0.3, "N": 200},
-        ({"c": 40.0}, {"c": 20.0}, {"c": 5.0}), _T_GRID),
-    "fig3": ExperimentDef(
-        "concurrence_vs_N",
-        "average concurrence versus aggregate size at t_k = 2 for (c, b) in "
-        "(15, 0.5), (15, 0.1), (5, 0.5), (5, 0.1)",
-        {"t_k": 2.0},
-        ({"c": 15.0, "b": 0.5}, {"c": 15.0, "b": 0.1},
-         {"c": 5.0, "b": 0.5}, {"c": 5.0, "b": 0.1}),
-        SweepAxis("N", 10, 200, 5)),
-    "fig4": ExperimentDef(
-        "zeta_vs_N",
-        "one- and two-exciton entropy ratios zeta1, zeta2 versus aggregate size",
-        {}, ({},), SweepAxis("N", 4, 400, 4)),
-    "fig5": ExperimentDef(
-        "chi3_vs_N",
-        "reduced third-order susceptibility per monomer versus aggregate size "
-        f"(mu = {_MONOMER.mu:g}, gamma = {_MONOMER.gamma:g}, delta_e = {_MONOMER.delta_e:g}, "
-        f"omega = delta_e / {_MONOMER.delta_e / _MONOMER.omega:g})",
-        asdict(_MONOMER),
-        ({},), SweepAxis("N", 4, 400, 4)),
-    "custom": ExperimentDef(
-        "custom",
-        "single-curve entropy study over the configured sweep variable (defaults: "
-        + ", ".join(f"{k} = {v:g}" for k, v in DEFAULT_BASE.items() if k in _ENTROPY_KEYS) + ")",
-        dict(DEFAULT_BASE), ({},), _T_GRID),
+    "fig1a": ExperimentDef("entropy", {"a": 0.0, "b": 0.0, "c": 30.0},
+                           ({"N": 200}, {"N": 100}, {"N": 50}), _T_GRID),
+    "fig1b": ExperimentDef("entropy", {"a": 0.0, "b": 0.0, "c": 30.0},
+                           ({"t": 2.0}, {"t": 5.0}, {"t": 9.0}), _N_GRID),
+    "fig1c": ExperimentDef("entropy", {"a": 0.0, "b": 0.0, "t": 2.0},
+                           ({"c": 10.0}, {"c": 20.0}, {"c": 40.0}), _N_GRID),
+    "fig1d": ExperimentDef("entropy", {"a": 0.0, "c": 30.0, "t": 6.0},
+                           ({"b": 0.0}, {"b": 0.3}, {"b": 0.5}), _N_GRID, extended_ref=True),
+    "fig2a": ExperimentDef("entropy", {"b": 0.0, "c": 10.0, "N": 150},
+                           ({"a": 0.0}, {"a": 0.3}, {"a": 0.7}, {"a": 1.5}), _T_GRID),
+    "fig2b": ExperimentDef("entropy", {"a": 0.0, "c": 20.0, "N": 100},
+                           ({"b": 0.0}, {"b": 0.5}, {"b": 1.0}), _T_GRID),
+    "fig2c": ExperimentDef("entropy", {"a": 0.5, "b": 0.3, "N": 200},
+                           ({"c": 40.0}, {"c": 20.0}, {"c": 5.0}), _T_GRID),
+    "fig3": ExperimentDef("concurrence_vs_N", {"t_k": 2.0},
+                          ({"c": 15.0, "b": 0.5}, {"c": 15.0, "b": 0.1},
+                           {"c": 5.0, "b": 0.5}, {"c": 5.0, "b": 0.1}),
+                          SweepAxis("N", 10, 200, 5)),
+    "fig4": ExperimentDef("zeta_vs_N", {}, ({},), SweepAxis("N", 4, 400, 4)),
+    "fig5": ExperimentDef("chi3_vs_N", asdict(SusceptibilityParams()), ({},),
+                          SweepAxis("N", 4, 400, 4)),
+    "custom": ExperimentDef("custom", dict(DEFAULT_BASE), ({},), _T_GRID),
 }
-
-
-def _column(prefix: str, label: str) -> str:
-    return f"{prefix}_{label}" if label else prefix
 
 
 def sweep_grid(axis: SweepAxis) -> list[float]:
@@ -191,7 +146,7 @@ def resolve(spec: ExperimentSpec) -> ExperimentDef:
             raise ValueError(
                 f"experiment '{spec.name}' sweeps '{definition.sweep.variable}', "
                 f"not '{sweep.variable}'")
-    reads = _KINDS[kind][0]
+    reads = _KINDS[kind][1]
     for key in (sweep.variable, *overrides):
         if key not in reads:
             raise ValueError(f"unknown parameter '{key}' for experiment '{spec.name}', "
@@ -285,20 +240,31 @@ def _geometric_point(values: Mapping[str, float]) -> tuple[float]:
     return (geometric_entropy(SymmetricState(values["N"], values["M"])),)
 
 
-# kind -> (the keys its points read (t_k enters only the coherence size);
-#          function from a plan's points, in sweep order, to their values;
-#          one (table suffix, column prefix) per value of a point)
-_KINDS: dict[str, tuple[tuple[str, ...], Callable, tuple[tuple[str, str], ...]]] = {
-    "entropy": (_ENTROPY_KEYS, _entropy_sweep, (("", "S"), ("avg", "S_avg"))),
-    "concurrence_vs_N": (("N", "b", "c", "t_k"), partial(map, _concurrence_point), (("", "C"),)),
-    "zeta_vs_N": (("N",), partial(map, _zeta_point), (("", "zeta1"), ("", "zeta2"))),
-    "chi3_vs_N": (("N",), partial(map, _chi3_point), (("", "chi3_reduced"), ("", "chi3_over_N"))),
-    "geometric_vs_M": (("N", "M"), partial(map, _geometric_point), (("", "E_geom"),)),
+# kind -> (what it tabulates; the keys its points read (t_k enters only the
+#          coherence size); function from a plan's points, in sweep order, to
+#          their values; one (table suffix, column prefix) per value of a point)
+_KINDS: dict[str, tuple[str, tuple[str, ...], Callable, tuple[tuple[str, str], ...]]] = {
+    "entropy": ("site entropy", ("N", "a", "b", "c", "t"), _entropy_sweep,
+                (("", "S"), ("avg", "S_avg"))),
+    "concurrence_vs_N": ("average concurrence", ("N", "b", "c", "t_k"),
+                         partial(map, _concurrence_point), (("", "C"),)),
+    "zeta_vs_N": ("one- and two-exciton entropy ratios", ("N",), partial(map, _zeta_point),
+                  (("", "zeta1"), ("", "zeta2"))),
+    "chi3_vs_N": ("reduced third-order susceptibility per monomer", ("N",),
+                  partial(map, _chi3_point), (("", "chi3_reduced"), ("", "chi3_over_N"))),
+    "geometric_vs_M": ("geometric entanglement", ("N", "M"), partial(map, _geometric_point),
+                       (("", "E_geom"),)),
 }
 
 
+def title(plan: ExperimentDef) -> str:
+    """What a resolved plan tabulates, against its sweep variable."""
+    extended = " plus the extended-state reference" if plan.extended_ref else ""
+    return f"{_KINDS[plan.kind][0]} versus {plan.sweep.variable}{extended}"
+
+
 def _build(plan: ExperimentDef) -> dict[str, CsvTable]:
-    _, evaluate, columns = _KINDS[plan.kind]
+    _, _, evaluate, columns = _KINDS[plan.kind]
     var = plan.sweep.variable
     grid = sweep_grid(plan.sweep)
     values = iter(evaluate({**plan.base, **curve, var: x}
@@ -322,7 +288,7 @@ def _build(plan: ExperimentDef) -> dict[str, CsvTable]:
     headers = {suffix: [var] for suffix in tables}
     for label in labels:
         for suffix, prefix in columns:
-            headers[suffix].append(_column(prefix, label))
+            headers[suffix].append(f"{prefix}_{label}" if label else prefix)
     return {suffix: CsvTable(tuple(headers[suffix]), tuple(rows))
             for suffix, rows in tables.items()}
 

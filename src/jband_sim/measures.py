@@ -94,9 +94,11 @@ def average_concurrence(zeta: float, N: int) -> ConcurrenceReport:
     N = check_integer(N, "N", 2)
     if not (1.0 <= zeta <= N):
         raise ValueError("zeta must lie in [1, N]")
-    # scaled is formed directly: avg * N / 2 is 0 once N (N - 1) has overflowed.
-    avg = 2.0 * (zeta - 1.0) / (N * (N - 1.0))
-    return ConcurrenceReport(avg_concurrence=avg, scaled=(zeta - 1.0) / (N - 1.0))
+    # Integer ratios divide exactly, then round once, so both fields are
+    # correctly rounded at any N: a float N (N - 1) overflows above 1e154.
+    num, den = (zeta - 1.0).as_integer_ratio()
+    return ConcurrenceReport(avg_concurrence=2 * num / (den * N * (N - 1)),
+                             scaled=num / (den * (N - 1)))
 
 
 def coherence_size(rho: AggregateDensityMatrix) -> float:
@@ -125,7 +127,8 @@ def spano_coherence_size(p: ModelParams) -> float:
     if p.b == 0.0:
         raise ValueError("b must be positive; with b = 0 the coherence size is the full aggregate N")
     nc = SPANO_COEFFICIENT * (p.c * p.c / (p.b * p.b * p.t_k)) ** (1.0 / 3.0)
-    return min(nc, float(p.N))
+    # Compared exactly: an N beyond the float range is converted only if it is the cap.
+    return nc if nc <= p.N else float(p.N)
 
 
 def resonance_coherence_size(c: float) -> float:

@@ -86,7 +86,8 @@ def _occupation_block(points: Sequence[tuple[float, ModelParams]]) -> np.ndarray
 
     Row ``k`` is the profile of ``points[k]``; points with equal ``c t`` share
     one Bessel row.  The block is C-ordered, so a sum along its last axis adds
-    each row in the order a sum over one profile does.
+    a row's entries alike whatever block holds it: a sweep's values do not
+    depend on its blocking.
     """
     import numpy as np
 

@@ -13,7 +13,8 @@ After an intended output change, remake the digest file with
 
     PYTHONPATH=src python tests/test_corpus.py --write
 
-and say which digests changed, and why, in CHANGES.md.
+which prints each ``case/key`` whose digest changed, was added or was
+removed, and say which digests changed, and why, in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -243,15 +244,33 @@ def test_outputs_match_corpus(case, tmp_path):
     assert CASES[case](tmp_path) == _stored()[case]
 
 
+def changes(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]]) -> list[str]:
+    """One line per ``case/key`` whose digest was changed, added or removed."""
+    before = {f"{case}/{key}": d for case, entries in old.items() for key, d in entries.items()}
+    after = {f"{case}/{key}": d for case, entries in new.items() for key, d in entries.items()}
+    return [f"{'added' if key not in before else 'removed' if key not in after else 'changed'} {key}"
+            for key in sorted(before.keys() | after.keys()) if before.get(key) != after.get(key)]
+
+
+def test_changes_names_each_entry():
+    old = {"a": {"x": "1", "y": "2"}, "b": {"z": "3"}}
+    new = {"a": {"x": "1", "y": "9"}, "c": {"w": "4"}}
+    assert changes(old, new) == ["changed a/y", "removed b/z", "added c/w"]
+    assert changes(old, old) == []
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Remake the behaviour corpus digests.")
     parser.add_argument("--write", action="store_true", required=True,
-                        help=f"overwrite {DIGESTS.name} with the current outputs")
+                        help=f"overwrite {DIGESTS.name} with the current outputs "
+                             "and print each changed, added and removed case/key")
     parser.parse_args(argv)
     digests = {}
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             digests[case] = CASES[case](Path(tmp))
+    for line in changes(_stored(), digests):
+        print(line)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {DIGESTS}")
     return 0

@@ -6,6 +6,8 @@ import os
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ from jband_sim import cli
 from jband_sim.config import parse_number
 from jband_sim.core import model_params
 from jband_sim.experiments import EXPERIMENTS, CsvTable, ExperimentSpec, run_experiment
-from jband_sim.measures import _site_entropies, extended_state_entropy
+from jband_sim.measures import (
+    _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size)
 from jband_sim.multipartite import SusceptibilityParams, chi3_magnitude
 from jband_sim.output import emit_svg, format_number, render_csv, render_svg, write_csv
 from jband_sim.propagator import _check_point, _occupation_block
@@ -281,6 +284,41 @@ def test_cli_eval_scaled_concurrence_of_a_huge_chain(capsys):
     assert capsys.readouterr().out == "1e-200\n"
 
 
+def test_cli_eval_concurrence_of_a_huge_chain(capsys):
+    # N (N - 1) overflows a float above 1e154; the exact value is 2e-250.
+    assert cli.main(["eval", "concurrence", "zeta=1e150", "N=1e200"]) == 0
+    assert capsys.readouterr().out == "2e-250\n"
+
+
+@pytest.mark.parametrize("N", [10**21, 10**400], ids=["1e21", "1e400"])
+def test_concurrence_is_exact_at_any_size(N, capsys):
+    zeta = 2.5
+    report = average_concurrence(zeta, N)
+    assert report.avg_concurrence == float(2 * (Fraction(zeta) - 1) / (N * (N - 1)))
+    assert report.scaled == float((Fraction(zeta) - 1) / (N - 1))
+    for measure in ("concurrence", "concurrence_scaled"):
+        assert cli.main(["eval", measure, "zeta=2", f"N={N}"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("N", [10**21, 10**400], ids=["1e21", "1e400"])
+def test_cli_eval_spano_of_a_huge_chain(N, capsys):
+    # The coherence size lies far below N, so the cap does not apply.
+    assert cli.main(["eval", "spano", "b=0.5", f"N={N}"]) == 0
+    uncapped = spano_coherence_size(model_params({"b": 0.5}))
+    assert capsys.readouterr().out == format_number(uncapped) + "\n"
+
+
+def test_cli_list_prints_values_from_the_table(monkeypatch, capsys):
+    # Each value list prints comes from the study table, so an edit shows at once.
+    fig1a = EXPERIMENTS["fig1a"]
+    monkeypatch.setitem(EXPERIMENTS, "fig1a", replace(fig1a, base={**fig1a.base, "c": 40.0}))
+    assert cli.main(["list"]) == 0
+    out = capsys.readouterr().out
+    lines = out[:out.index("fig1b:")]
+    assert "c=40" in lines and "30" not in lines
+
+
 def test_config_integral_float_literal_is_an_integer(tmp_path):
     # One integer rule for configuration files and eval: N = 3e2 is N = 300.
     outputs = []
@@ -395,6 +433,28 @@ for argv in {EVALS!r}:
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_list_and_non_entropy_runs_do_not_import_numpy(tmp_path):
+    # Only an entropy sweep builds arrays; list and the other studies, SVG
+    # included, run on floats in a fresh interpreter.
+    script = f"""
+import sys
+from pathlib import Path
+from jband_sim import cli
+assert cli.main(["list"]) == 0
+assert "numpy" not in sys.modules, "list"
+for name in ("fig3", "fig4", "fig5"):
+    cfg = Path({str(tmp_path)!r}) / (name + ".cfg")
+    cfg.write_text("experiment = " + name + "\\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(cfg.parent), "--svg"]) == 0
+    assert "numpy" not in sys.modules, name
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("fig*.svg"))) == 3
 
 
 def _block_ipr(u):
