@@ -42,6 +42,13 @@ def check_time(t) -> float:
     return t
 
 
+def check_finite(value: float, name: str) -> float:
+    """``value``; ``ValueError`` if it is not finite, as a true value beyond the float range."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} lies beyond the float range")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimensionless parameter set driving the reduced dynamics.

@@ -4,19 +4,20 @@ Each preset pins the parameter values of one bundled study, and each study
 kind names an evaluator: it maps the parameter values of every point of a
 sweep, grid value by grid value and curve by curve, to the measure's values
 at those points.  Entropy sweeps are evaluated in blocks of points that share
-one chain length; the other kinds map a point function over the points.  One
-sweep loop lays the values out as tables whose first column is the sweep
-variable.  Entropy studies produce two tables, the summed site entropy and
-its per-site average, exposed via ``run_experiment_outputs``;
-``run_experiment`` returns the primary table.  A study accepts an override or
-a sweep variable only among the keys its kind reads.
+one chain length, ordered by c t, so that each Bessel row is computed once;
+the other kinds map a point function over the points.  One sweep loop lays
+the values out as tables whose first column is the sweep variable.  Entropy
+studies produce two tables, the summed site entropy and its per-site
+average, exposed via ``run_experiment_outputs``; ``run_experiment`` returns
+the primary table.  A study accepts an override or a sweep variable only
+among the keys its kind reads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Callable, Iterable, Mapping
 
 from .config import INT_KEYS
@@ -24,12 +25,8 @@ from .config import INT_KEYS
 from .core import DEFAULT_BASE, check_time, model_params
 from .measures import _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size
 from .multipartite import SusceptibilityParams, SymmetricState, chi3_magnitude, geometric_entropy, zeta_ratios
-from .propagator import _check_point, _occupation_block
+from .propagator import _check_point, _occupation_blocks
 
-# An entropy sweep evaluates its points in blocks of at most this many site
-# probabilities (always at least one row), so its working memory stays a few
-# hundred kilobytes whatever the window size.
-_BLOCK_ELEMENTS = 2**12
 #: Largest sweep grid; the bundled studies use at most 201 points.
 MAX_SWEEP_POINTS = 100_000
 
@@ -183,31 +180,14 @@ def _entropy_sweep(points: Iterable[Mapping[str, float]]) -> list[tuple[float, f
     # Every point is checked, in sweep order, before any block is computed, so
     # the first point out of the domain names the error.
     checked = [_check_point(v["t"], model_params(v)) for v in points]
-    by_N: dict[int, list[int]] = {}
-    for k, (_, p) in enumerate(checked):
-        by_N.setdefault(p.N, []).append(k)
+    order = sorted(range(len(checked)), key=lambda k: (checked[k][1].N, checked[k][1].c * checked[k][0]))
     values: list = [None] * len(checked)
-
-    def ct(k):
-        return checked[k][1].c * checked[k][0]
-
-    for N, ks in by_N.items():
-        # Ordered by c t, points that share a Bessel row are adjacent.  A block
-        # never splits a run that fits in one, so its row is computed once; a
-        # longer run is cut into full blocks of its own, one row each.
-        ks.sort(key=ct)
-        step = max(1, _BLOCK_ELEMENTS // N)
-        chunks = [[]]
-        for _, run in groupby(ks, key=ct):
-            run = list(run)
-            if len(chunks[-1]) + len(run) > step:
-                chunks += [run[lo:lo + step] for lo in range(0, len(run), step)]
-            else:
-                chunks[-1] += run
-        for chunk in filter(None, chunks):
-            totals = _site_entropies(_occupation_block([checked[k] for k in chunk])).sum(axis=1)
-            for k, total in zip(chunk, totals.tolist()):
-                values[k] = (total, total / N)
+    for N, ks in groupby(order, key=lambda k: checked[k][1].N):
+        ks = list(ks)
+        blocks = _occupation_blocks([checked[k] for k in ks])
+        totals = chain.from_iterable(_site_entropies(u).sum(axis=1).tolist() for u in blocks)
+        for k, total in zip(ks, totals):
+            values[k] = (total, total / N)
     return values
 
 

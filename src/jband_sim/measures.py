@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import AggregateDensityMatrix, ModelParams, OccupationProfile, check_integer
+from .core import AggregateDensityMatrix, ModelParams, OccupationProfile, check_finite, check_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -126,13 +126,32 @@ def spano_coherence_size(p: ModelParams) -> float:
     """Empirical coherence size 2.16 (c^2 / (b^2 t_k))^(1/3), capped at N."""
     if p.b == 0.0:
         raise ValueError("b must be positive; with b = 0 the coherence size is the full aggregate N")
-    nc = SPANO_COEFFICIENT * (p.c * p.c / (p.b * p.b * p.t_k)) ** (1.0 / 3.0)
+    num, b2 = p.c * p.c, p.b * p.b
+    den = b2 * p.t_k
+    ratio = num / den if den else 0.0
+    if all(sys.float_info.min <= v <= sys.float_info.max for v in (num, b2, den, ratio)):
+        nc = SPANO_COEFFICIENT * ratio ** (1.0 / 3.0)
+    else:
+        # A product or the ratio leaves the normal range.  Split off each
+        # binary exponent exactly, take the cube root of the mantissas and
+        # the exponent's remainder, and put the exponent's third back.
+        (mc, ec), (mb, eb), (mt, et) = map(math.frexp, (p.c, p.b, p.t_k))
+        k, r = divmod(2 * ec - 2 * eb - et, 3)
+        root = SPANO_COEFFICIENT * math.ldexp(mc * mc / (mb * mb * mt), r) ** (1.0 / 3.0)
+        try:
+            nc = math.ldexp(root, k)
+        except OverflowError:
+            nc = math.inf
     # Compared exactly: an N beyond the float range is converted only if it is the cap.
-    return nc if nc <= p.N else float(p.N)
+    if nc <= p.N:
+        return nc
+    if p.N > sys.float_info.max:
+        raise ValueError("coherence size lies beyond the float range")
+    return float(p.N)
 
 
 def resonance_coherence_size(c: float) -> float:
     """Coherence size 4 pi c at phonon-band resonance points."""
     if not (math.isfinite(c) and c > 0):
         raise ValueError("c must be positive")
-    return 4.0 * math.pi * c
+    return check_finite(4.0 * math.pi * c, "coherence size")

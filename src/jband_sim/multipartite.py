@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import check_integer
+from .core import check_finite, check_integer
 
 
 @dataclass(frozen=True)
@@ -146,4 +146,6 @@ def coupling_sum_nn(v: float, k: float) -> float:
     """Nearest-neighbour inter-branch coupling 2 v cos(k)."""
     if not math.isfinite(k):
         raise ValueError("k must be finite")
-    return 2.0 * v * math.cos(k)
+    if not math.isfinite(v):
+        raise ValueError("v must be finite")
+    return check_finite(2.0 * v * math.cos(k), "coupling")

@@ -11,12 +11,12 @@ in-window probability starts below one; the deficit is the weight carried by
 the phonon-dressed component and is deliberately not renormalised away.
 Temperature does not enter the propagator.
 
-A sweep evaluates its points as blocks: the profiles of many points that
-share one chain length N form the rows of one array, built from one Bessel
-row per distinct c t, so a point's values do not depend on how its sweep is
-blocked.  ``occupation_profile`` builds one point's profile as Python floats,
-with the Bessel row ``bessel_j`` uses, and never loads numpy; it agrees with
-the block path to about 1e-14 relative.
+A sweep evaluates its points as blocks: the profiles of consecutive points
+that share one chain length N, ordered by c t, form the rows of one array.
+A Bessel row is computed once per N and c t, and a point's values do not
+depend on how its sweep is blocked.  ``occupation_profile`` builds one
+point's profile as Python floats, with the Bessel row ``bessel_j`` uses, and
+never loads numpy; it agrees with the block path to about 1e-14 relative.
 
 All functions are pure; independent (site, time) points can be evaluated
 concurrently.
@@ -25,13 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import OCCUPATION_SUM_EPS, ModelParams, OccupationProfile, check_time, make_window
+from .core import OCCUPATION_SUM_EPS, ModelParams, OccupationProfile, check_finite, check_time, make_window
 from .specfun import MAX_ORDER, _check_row, _fsum_row, bessel_j, bessel_j_row
 
 if TYPE_CHECKING:
     import numpy as np
+
+# A sweep evaluates its points in blocks of at most this many site
+# probabilities (always at least one row), so its working memory stays a few
+# hundred kilobytes whatever the window size.
+_BLOCK_ELEMENTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,11 @@ class DispersionParams:
     d_shift: float
     v: float
 
+    def __post_init__(self):
+        for name in ("delta_e", "d_shift", "v"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
 
 @dataclass(frozen=True)
 class DipolePair:
@@ -59,6 +69,9 @@ class DipolePair:
     d: float
 
     def __post_init__(self):
+        for name in ("mu_i", "mu_j"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (math.isfinite(self.d) and self.d > 0):
             raise ValueError("d must be positive")
 
@@ -81,32 +94,38 @@ def _check_point(t: float, p: ModelParams) -> tuple[float, ModelParams]:
     return t, p
 
 
-def _occupation_block(points: Sequence[tuple[float, ModelParams]]) -> np.ndarray:
+def _occupation_blocks(points: Sequence[tuple[float, ModelParams]]) -> Iterator[np.ndarray]:
     """Transfer probabilities of checked ``(t, p)`` points that share one ``N``.
 
-    Row ``k`` is the profile of ``points[k]``; points with equal ``c t`` share
-    one Bessel row.  The block is C-ordered, so a sum along its last axis adds
-    a row's entries alike whatever block holds it: a sweep's values do not
-    depend on its blocking.
+    The points come ordered by ``c t``.  Each block holds the profiles of the
+    next ``_BLOCK_ELEMENTS // N`` points (at least one), one per row, and
+    each Bessel row is computed once, also where a run of equal ``c t``
+    crosses into the next block.  A block is C-ordered, so a sum along its
+    last axis adds a row's entries alike whatever block holds it: a sweep's
+    values do not depend on its blocking.
     """
     import numpy as np
 
     N = points[0][1].N
-    xs = [p.c * t for t, p in points]
-    distinct = {x: k for k, x in enumerate(dict.fromkeys(xs))}
-    rows = np.array([bessel_j_row(N // 2, x) for x in distinct])
-    # np.take keeps C order, where rows[:, idx] would give a Fortran-ordered block.
-    window = np.take(rows, np.abs(np.asarray(make_window(N))), axis=1)
-    j = window[[distinct[x] for x in xs]]
-    decay = np.array([[math.exp(-p.b * p.b * t)] for t, p in points])
-    dressing = np.array([[math.exp(-p.a * p.a)] for _, p in points])
-    # Grouping keeps the a-dependence an exact scalar factor of each row.
-    u = dressing * ((j * j) * decay)
-    if not ((u >= 0) & (u <= 1)).all():  # NaN fails both comparisons
-        raise ValueError("occupation probabilities must lie in [0, 1]")
-    if (u.sum(axis=1) > 1.0 + OCCUPATION_SUM_EPS).any():
-        raise ValueError("total occupation probability exceeds unity")
-    return u
+    step = max(1, _BLOCK_ELEMENTS // N)
+    window = np.abs(np.asarray(make_window(N)))
+    rows: dict[float, np.ndarray] = {}
+    for lo in range(0, len(points), step):
+        block = points[lo:lo + step]
+        xs = [p.c * t for t, p in block]
+        rows = {x: rows[x] if x in rows else bessel_j_row(N // 2, x) for x in dict.fromkeys(xs)}
+        # np.take keeps C order, where rows[:, window] would give a Fortran-ordered block.
+        j = np.take(np.array([rows[x] for x in xs]), window, axis=1)
+        decay = np.array([[math.exp(-p.b * p.b * t)] for t, p in block])
+        dressing = np.array([[math.exp(-p.a * p.a)] for _, p in block])
+        # Grouping keeps the a-dependence an exact scalar factor of each row.
+        u = dressing * ((j * j) * decay)
+        if not ((u >= 0) & (u <= 1)).all():  # NaN fails both comparisons
+            raise ValueError("occupation probabilities must lie in [0, 1]")
+        if (u.sum(axis=1) > 1.0 + OCCUPATION_SUM_EPS).any():
+            raise ValueError("total occupation probability exceeds unity")
+        del j  # while the block is consumed, only it and the rows the next may share stay
+        yield u
 
 
 def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:
@@ -128,9 +147,10 @@ def exciton_energy(k: float, dp: DispersionParams) -> float:
     """Band energy delta_e + d_shift + 2 v cos(k) at wavevector k."""
     if not math.isfinite(k):
         raise ValueError("k must be finite")
-    return dp.delta_e + dp.d_shift + 2.0 * dp.v * math.cos(k)
+    return check_finite(dp.delta_e + dp.d_shift + 2.0 * dp.v * math.cos(k), "band energy")
 
 
 def dipole_coupling(pair: DipolePair) -> float:
     """Point-dipole transfer energy mu_i mu_j / d^3 (unit proportionality)."""
-    return pair.mu_i * pair.mu_j / pair.d**3
+    # Divided one factor of d at a time, so no power of d under- or overflows alone.
+    return check_finite(pair.mu_i * pair.mu_j / pair.d / pair.d / pair.d, "dipole coupling")

@@ -87,7 +87,8 @@ CLI_EVAL_ROUNDS = {
           zeta1 N=158""",
 }
 
-# Every other eval measure, and the Bessel branches the rounds miss.
+# Every other eval measure, the Bessel branches the rounds miss, and a
+# coherence size whose b^2 t_k underflows.
 OTHER_EVALS = """bessel n=0 x=0
                  bessel n=3 x=1e-9
                  bessel n=-5 x=2.5
@@ -107,7 +108,8 @@ OTHER_EVALS = """bessel n=0 x=0
                  zeta2 N=101
                  exciton_energy k=0.7 delta_e=2 d_shift=-0.1 v=-0.3
                  dipole mu_i=1.2 mu_j=0.8 d=1.5
-                 coupling_nn v=0.4 k=2.1"""
+                 coupling_nn v=0.4 k=2.1
+                 spano b=1e-200"""
 
 # name -> (config file text, or None for an eval call; CLI arguments after it)
 ERRORS = {
@@ -141,6 +143,9 @@ ERRORS = {
     "eval_negative_argument": (None, ("eval", "bessel", "n=3", "x=-1")),
     "eval_spano_zero_b": (None, ("eval", "spano", "b=0")),
     "eval_entropy_ct_beyond_envelope": (None, ("eval", "entropy", "t=50", "c=30")),
+    "eval_dipole_beyond_float_range": (None, ("eval", "dipole", "mu_i=1", "mu_j=1", "d=1e-200")),
+    "eval_exciton_energy_nan": (None, ("eval", "exciton_energy", "k=0.7", "delta_e=nan",
+                                       "d_shift=-0.1", "v=-0.3")),
 }
 
 # preset -> overriding configuration lines

@@ -354,8 +354,8 @@ def equivalence_specs():
 def test_entropy_sweep_equals_point_by_point(spec, monkeypatch):
     expected = point_by_point_tables(spec)
     # One row per block, the default blocks, and the whole sweep as one block.
-    for cap in (1, experiments._BLOCK_ELEMENTS, 10**9):
-        monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", cap)
+    for cap in (1, propagator._BLOCK_ELEMENTS, 10**9):
+        monkeypatch.setattr(propagator, "_BLOCK_ELEMENTS", cap)
         tables = run_experiment_outputs(spec)
         assert {suffix: list(table.rows) for suffix, table in tables.items()} == expected, cap
 
@@ -363,28 +363,35 @@ def test_entropy_sweep_equals_point_by_point(spec, monkeypatch):
 @pytest.mark.parametrize("name", sorted(n for n, d in EXPERIMENTS.items() if d.kind == "entropy"))
 def test_each_bessel_row_is_computed_once(name, monkeypatch):
     # Points that share N // 2 and c t share one row, even where a block of
-    # the sweep would otherwise end inside their run.
+    # the sweep ends inside their run: at one row per block, every run does.
     plan = resolve(ExperimentSpec(name))
     var = plan.sweep.variable
     expected = {(int(v["N"]) // 2, float(v["c"]) * float(v["t"]))
                 for v in ({**plan.base, **curve, var: x}
                           for x in sweep_grid(plan.sweep) for curve in plan.curves)}
-    calls = []
-    monkeypatch.setattr(propagator, "bessel_j_row",
-                        lambda n_max, x: calls.append((n_max, x)) or bessel_j_row(n_max, x))
-    run_experiment_outputs(ExperimentSpec(name))
-    assert sorted(calls) == sorted(expected)
+    for cap in (propagator._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(propagator, "_BLOCK_ELEMENTS", cap)
+        calls = []
+        monkeypatch.setattr(propagator, "bessel_j_row",
+                            lambda n_max, x: calls.append((n_max, x)) or bessel_j_row(n_max, x))
+        run_experiment_outputs(ExperimentSpec(name))
+        assert sorted(calls) == sorted(expected), cap
 
 
 @pytest.mark.parametrize("var", ["a", "b"])
 def test_a_run_of_equal_ct_is_cut_into_capped_blocks(var, monkeypatch):
     # Every point of an a or b sweep shares c t, so the whole sweep is one run;
-    # it must still be evaluated in blocks of at most the capped size.
+    # it must still be evaluated in blocks of at most the capped size, from
+    # one Bessel row.
     params, axis = EQUIVALENCE_SWEEPS[var]
     spec = ExperimentSpec("custom", {**params, "N": 201}, axis)
-    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 5 * 201)
-    sizes = []
-    monkeypatch.setattr(experiments, "_occupation_block",
-                        lambda points: sizes.append(len(points)) or propagator._occupation_block(points))
+    monkeypatch.setattr(propagator, "_BLOCK_ELEMENTS", 5 * 201)
+    sizes, calls = [], []
+    monkeypatch.setattr(experiments, "_occupation_blocks",
+                        lambda points: (sizes.append(len(u)) or u
+                                        for u in propagator._occupation_blocks(points)))
+    monkeypatch.setattr(propagator, "bessel_j_row",
+                        lambda n_max, x: calls.append((n_max, x)) or bessel_j_row(n_max, x))
     run_experiment_outputs(spec)
     assert sizes == [5, 5, 5, 5, 3]
+    assert len(calls) == 1

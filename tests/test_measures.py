@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from jband_sim.core import AggregateDensityMatrix, ModelParams, OccupationProfile, make_window
 from jband_sim.experiments import ExperimentSpec, SweepAxis, run_experiment
 from jband_sim.measures import (
+    SPANO_COEFFICIENT,
     average_concurrence,
     coherence_size,
     entropy_report,
@@ -260,6 +263,34 @@ def test_resonance_values():
 def test_resonance_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         resonance_coherence_size(0.0)
+
+
+def test_resonance_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(ValueError, match="coherence size lies beyond the float range"):
+        resonance_coherence_size(1e308)
+
+
+@pytest.mark.parametrize("c,b,t_k", [
+    (15.0, 1e-200, 2.0),      # b^2 t_k underflows to 0
+    (15.0, 1e-160, 1e20),     # b^2 is subnormal, b^2 t_k is not
+    (1e200, 0.5, 2.0),        # c^2 overflows
+    (1e150, 1e-5, 1.0),       # the ratio overflows
+    (1e-200, 0.5, 2.0),       # c^2 underflows
+    (20.0, 0.3, 5e-324),      # t_k is the smallest subnormal
+    (1e300, 1e-300, 1e-300),  # beyond the float range
+])
+def test_spano_is_exact_outside_the_normal_range(c, b, t_k):
+    # Where c^2, b^2, b^2 t_k or their ratio leaves the normal range, the size
+    # is still correctly rounded to a few ulp, or a domain error beyond it.
+    with mpmath.workprec(100):
+        exact = SPANO_COEFFICIENT * mpmath.cbrt(mpmath.mpf(c) ** 2 / (mpmath.mpf(b) ** 2 * t_k))
+    p = ModelParams(a=0.0, b=b, c=c, t_k=t_k, N=10**600)
+    if exact > sys.float_info.max:
+        with pytest.raises(ValueError, match="coherence size lies beyond the float range"):
+            spano_coherence_size(p)
+        assert spano_coherence_size(replace(p, N=10**300)) == 1e300
+    else:
+        assert spano_coherence_size(p) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def concurrence_curve(c, b, start, stop, step):

@@ -230,3 +230,10 @@ def test_coupling_sum_values():
     assert coupling_sum_nn(1.0, 0.0) == 2.0
     assert coupling_sum_nn(1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
     assert coupling_sum_nn(0.5, math.pi / 3) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_coupling_sum_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="v must be finite"):
+        coupling_sum_nn(math.nan, 1.0)
+    with pytest.raises(ValueError, match="coupling lies beyond the float range"):
+        coupling_sum_nn(1e308, 0.1)

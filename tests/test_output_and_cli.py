@@ -20,7 +20,7 @@ from jband_sim.measures import (
     _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size)
 from jband_sim.multipartite import SusceptibilityParams, chi3_magnitude
 from jband_sim.output import emit_svg, format_number, render_csv, render_svg, write_csv
-from jband_sim.propagator import _check_point, _occupation_block
+from jband_sim.propagator import _check_point, _occupation_blocks
 
 
 def small_table():
@@ -309,6 +309,24 @@ def test_cli_eval_spano_of_a_huge_chain(N, capsys):
     assert capsys.readouterr().out == format_number(uncapped) + "\n"
 
 
+def test_cli_eval_spano_outside_the_normal_range(capsys):
+    # b^2 t_k underflows to 0, and the size is capped at the default N = 200.
+    assert cli.main(["eval", "spano", "b=1e-200"]) == 0
+    assert capsys.readouterr().out == "200\n"
+    # c^2 overflows, yet the size lies far below N.
+    assert cli.main(["eval", "spano", "b=0.5", "c=1e200", f"N={10**400}"]) == 0
+    assert capsys.readouterr().out == "7.38709608964e+133\n"
+    assert cli.main(["eval", "spano", "b=1e-300", "t_k=1e-300", "c=1e300", f"N={10**400}"]) == 2
+    assert capsys.readouterr().err == "domain error: coherence size lies beyond the float range\n"
+
+
+def test_cli_run_fig3_at_the_smallest_temperature(tmp_path, capsys):
+    config = tmp_path / "fig3.cfg"
+    config.write_text("experiment = fig3\nt_k = 5e-324\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fig3.csv").read_text().splitlines()[1] == "10,0.2,0.2,0.2,0.2"
+
+
 def test_cli_list_prints_values_from_the_table(monkeypatch, capsys):
     # Each value list prints comes from the study table, so an edit shows at once.
     fig1a = EXPERIMENTS["fig1a"]
@@ -501,7 +519,7 @@ def test_profile_evals_match_the_array_path(measure, pairs, capsys):
     code = cli.main(["eval", measure, *pairs])
     out, err = capsys.readouterr()
     try:
-        u = _occupation_block([_check_point(kw["t"], model_params(kw))])[0]
+        u = next(_occupation_blocks([_check_point(kw["t"], model_params(kw))]))[0]
         expected = float(PROFILE_MEASURES[measure](u))
     except ValueError as exc:
         assert (code, out, err) == (cli.EXIT_DOMAIN, "", f"domain error: {exc}\n")

@@ -10,7 +10,7 @@ from jband_sim.propagator import (
     DipolePair,
     DispersionParams,
     _check_point,
-    _occupation_block,
+    _occupation_blocks,
     dipole_coupling,
     exciton_energy,
     occupation_profile,
@@ -152,7 +152,7 @@ def test_point_occupation_matches_the_array_profile(t, p):
     # to the Bessel norm, which one sums with math.fsum and the other with numpy.
     point = occupation_profile(t, p).u
     assert type(point) is tuple and all(type(v) is float for v in point)
-    block = _occupation_block([_check_point(t, p)])[0]
+    block = next(_occupation_blocks([_check_point(t, p)]))[0]
     np.testing.assert_allclose(point, block, rtol=1e-14, atol=1e-300)
 
 
@@ -187,3 +187,31 @@ def test_dipole_coupling_inverse_cube(mu_i, mu_j, d, expected):
 def test_dipole_coupling_rejects_bad_separation(d):
     with pytest.raises(ValueError):
         dipole_coupling(DipolePair(1.0, 1.0, d))
+
+
+@pytest.mark.parametrize("field", ["delta_e", "d_shift", "v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dispersion_params_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DispersionParams(**{"delta_e": 2.0, "d_shift": 0.0, "v": -0.5, field: value})
+
+
+@pytest.mark.parametrize("field", ["mu_i", "mu_j"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_dipole_moments_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DipolePair(**{"mu_i": 1.0, "mu_j": 1.0, "d": 1.0, field: value})
+
+
+def test_band_energy_beyond_the_float_range_is_a_domain_error():
+    with pytest.raises(ValueError, match="band energy lies beyond the float range"):
+        exciton_energy(0.0, DispersionParams(1e308, 1e308, 0.0))
+
+
+def test_dipole_coupling_at_extreme_separations():
+    # d**3 under- or overflows alone; one factor of d at a time does not.
+    assert dipole_coupling(DipolePair(1.0, 1.0, 1e-100)) == pytest.approx(1e300, rel=1e-15, abs=0.0)
+    assert dipole_coupling(DipolePair(1.0, 1.0, 1e100)) == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+    assert dipole_coupling(DipolePair(1.0, 1.0, 1e200)) == 0.0
+    with pytest.raises(ValueError, match="dipole coupling lies beyond the float range"):
+        dipole_coupling(DipolePair(1.0, 1.0, 1e-200))
