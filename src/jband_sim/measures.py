@@ -126,22 +126,16 @@ def spano_coherence_size(p: ModelParams) -> float:
     """Empirical coherence size 2.16 (c^2 / (b^2 t_k))^(1/3), capped at N."""
     if p.b == 0.0:
         raise ValueError("b must be positive; with b = 0 the coherence size is the full aggregate N")
-    num, b2 = p.c * p.c, p.b * p.b
-    den = b2 * p.t_k
-    ratio = num / den if den else 0.0
-    if all(sys.float_info.min <= v <= sys.float_info.max for v in (num, b2, den, ratio)):
-        nc = SPANO_COEFFICIENT * ratio ** (1.0 / 3.0)
-    else:
-        # A product or the ratio leaves the normal range.  Split off each
-        # binary exponent exactly, take the cube root of the mantissas and
-        # the exponent's remainder, and put the exponent's third back.
-        (mc, ec), (mb, eb), (mt, et) = map(math.frexp, (p.c, p.b, p.t_k))
-        k, r = divmod(2 * ec - 2 * eb - et, 3)
-        root = SPANO_COEFFICIENT * math.ldexp(mc * mc / (mb * mb * mt), r) ** (1.0 / 3.0)
-        try:
-            nc = math.ldexp(root, k)
-        except OverflowError:
-            nc = math.inf
+    # c^2, b^2 t_k and their ratio can leave the float range where the size
+    # does not.  Split off each binary exponent exactly, take the cube root of
+    # the mantissas and the exponent's remainder, and put the exponent's third back.
+    (mc, ec), (mb, eb), (mt, et) = map(math.frexp, (p.c, p.b, p.t_k))
+    k, r = divmod(2 * ec - 2 * eb - et, 3)
+    root = SPANO_COEFFICIENT * math.ldexp(mc * mc / (mb * mb * mt), r) ** (1.0 / 3.0)
+    try:
+        nc = math.ldexp(root, k)
+    except OverflowError:
+        nc = math.inf
     # Compared exactly: an N beyond the float range is converted only if it is the cap.
     if nc <= p.N:
         return nc

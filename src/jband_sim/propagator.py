@@ -58,6 +58,8 @@ class DispersionParams:
         for name in ("delta_e", "d_shift", "v"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.delta_e <= 0:
+            raise ValueError("delta_e must be positive")
 
 
 @dataclass(frozen=True)

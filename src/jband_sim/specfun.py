@@ -45,18 +45,6 @@ MAX_ORDER = 2000
 MAX_ARGUMENT = 1000.0
 
 
-def _series_term(n: int, x: float) -> float:
-    # J_n(x) ~ (x/2)^n / n! * (1 - (x/2)^2 / (n+1)), evaluated in log space.
-    # The log term falls with n, so once it underflows every higher order does.
-    h = 0.5 * x
-    if h == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_term = n * math.log(h) - math.lgamma(n + 1)
-    if log_term < -745.0:
-        return 0.0
-    return math.exp(log_term) * (1.0 - h * h / (n + 1))
-
-
 def _descent(n_max: int, x: float) -> list[float]:
     """Unnormalised J_0(x), J_1(x), ... from a recurrence started well above ``n_max``."""
     start = n_max + math.ceil(1.5 * x) + _ORDER_MARGIN
@@ -95,11 +83,17 @@ def _check_row(n_max: int, x: float) -> tuple[int, float]:
 def _series_row(n_max: int, x: float) -> list[float]:
     """J_0(x) .. J_{n_max}(x) of checked ``x < _SERIES_CUTOFF`` by the two-term series."""
     row = [0.0] * (n_max + 1)
+    h = 0.5 * x
+    if h == 0.0:
+        row[0] = 1.0
+        return row
+    # J_n(x) ~ (x/2)^n / n! * (1 - (x/2)^2 / (n+1)), evaluated in log space.
+    # The log term falls with n, so once it underflows every higher order does.
     for n in range(n_max + 1):
-        term = _series_term(n, x)
-        if term == 0.0:
+        log_term = n * math.log(h) - math.lgamma(n + 1)
+        if log_term < -745.0:
             break
-        row[n] = term
+        row[n] = math.exp(log_term) * (1.0 - h * h / (n + 1))
     return row
 
 

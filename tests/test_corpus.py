@@ -146,6 +146,8 @@ ERRORS = {
     "eval_dipole_beyond_float_range": (None, ("eval", "dipole", "mu_i=1", "mu_j=1", "d=1e-200")),
     "eval_exciton_energy_nan": (None, ("eval", "exciton_energy", "k=0.7", "delta_e=nan",
                                        "d_shift=-0.1", "v=-0.3")),
+    "eval_exciton_energy_negative_delta_e": (None, ("eval", "exciton_energy", "k=0", "delta_e=-5",
+                                                    "d_shift=0", "v=0")),
 }
 
 # preset -> overriding configuration lines

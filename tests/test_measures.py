@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from dataclasses import replace
 
@@ -291,6 +292,34 @@ def test_spano_is_exact_outside_the_normal_range(c, b, t_k):
         assert spano_coherence_size(replace(p, N=10**300)) == 1e300
     else:
         assert spano_coherence_size(p) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+def _assert_spano_within_4e16(c, b, t_k):
+    # Against 100-bit mpmath, at an N no size reaches.
+    value = spano_coherence_size(ModelParams(a=0.0, b=b, c=c, t_k=t_k, N=10**9))
+    with mpmath.workprec(100):
+        exact = SPANO_COEFFICIENT * mpmath.cbrt(mpmath.mpf(c) ** 2 / (mpmath.mpf(b) ** 2 * t_k))
+        error = abs(value - exact) / exact
+    assert error <= 4e-16, (c, b, t_k, float(error))
+
+
+@pytest.mark.parametrize("c,b,t_k", [
+    # Ordinary inputs where squaring and dividing in floats erred by 4.9-5.3e-16.
+    (53.54321766981087, 0.015648795523282216, 0.07348302236944379),
+    (50.3185515206234, 0.06025978990377889, 0.29677215920494365),
+    (96.82086092330866, 0.014241710278317679, 0.2920469350364112),
+    (79.55999404888003, 0.04263706566645821, 0.08886920482248889),
+    (61.6585881466884, 0.014416598355574024, 0.8720366281407932),
+    (88.04803692317591, 0.021096747025876304, 5.987430730530484),
+])
+def test_spano_rounds_ordinary_inputs_closely(c, b, t_k):
+    _assert_spano_within_4e16(c, b, t_k)
+
+
+def test_spano_rounds_a_seeded_sample_closely():
+    rng = random.Random(1)
+    for _ in range(2000):
+        _assert_spano_within_4e16(rng.uniform(0.1, 100), rng.uniform(0.01, 2), rng.uniform(0.05, 10))
 
 
 def concurrence_curve(c, b, start, stop, step):

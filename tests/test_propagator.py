@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jband_sim import cli
 from jband_sim.core import ModelParams, make_window
 from jband_sim.propagator import (
     DipolePair,
@@ -194,6 +195,14 @@ def test_dipole_coupling_rejects_bad_separation(d):
 def test_dispersion_params_must_be_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         DispersionParams(**{"delta_e": 2.0, "d_shift": 0.0, "v": -0.5, field: value})
+
+
+@pytest.mark.parametrize("delta_e", [0.0, -5.0])
+def test_dispersion_params_require_a_positive_site_energy(delta_e, capsys):
+    with pytest.raises(ValueError, match="delta_e must be positive"):
+        DispersionParams(delta_e=delta_e, d_shift=0.0, v=0.0)
+    assert cli.main(["eval", "exciton_energy", "k=0", f"delta_e={delta_e:g}", "d_shift=0", "v=0"]) == 2
+    assert capsys.readouterr().err == "domain error: delta_e must be positive\n"
 
 
 @pytest.mark.parametrize("field", ["mu_i", "mu_j"])
