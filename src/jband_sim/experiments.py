@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .config import INT_KEYS
@@ -181,13 +181,11 @@ def _entropy_sweep(points: Iterable[Mapping[str, float]]) -> list[tuple[float, f
     # the first point out of the domain names the error.
     checked = [_check_point(v["t"], model_params(v)) for v in points]
     order = sorted(range(len(checked)), key=lambda k: (checked[k][1].N, checked[k][1].c * checked[k][0]))
+    blocks = _occupation_blocks([checked[k] for k in order])
+    totals = chain.from_iterable(_site_entropies(u).sum(axis=1).tolist() for u in blocks)
     values: list = [None] * len(checked)
-    for N, ks in groupby(order, key=lambda k: checked[k][1].N):
-        ks = list(ks)
-        blocks = _occupation_blocks([checked[k] for k in ks])
-        totals = chain.from_iterable(_site_entropies(u).sum(axis=1).tolist() for u in blocks)
-        for k, total in zip(ks, totals):
-            values[k] = (total, total / N)
+    for k, total in zip(order, totals):
+        values[k] = (total, total / checked[k][1].N)
     return values
 
 

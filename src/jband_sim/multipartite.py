@@ -112,12 +112,13 @@ def chi3_magnitude(N: int, sp: SusceptibilityParams) -> float:
     |chi3| = N mu^2 E(N,1) E(N,2) / (2 gamma |omega^2 - delta_e^2|), where E
     is the geometric entropy.  The detuning denominator enters through its
     absolute value; it is negative at the usual omega = delta_e / 3 drive.
+    A magnitude beyond the float range is rejected with ``ValueError``.
     """
     N = check_integer(N, "N", 4)
     e_one = geometric_entropy(SymmetricState(N, 1))
     e_two = geometric_entropy(SymmetricState(N, 2))
     detune = abs(sp.omega * sp.omega - sp.delta_e * sp.delta_e)
-    return N * sp.mu * sp.mu * e_one * e_two / (2.0 * sp.gamma * detune)
+    return check_finite(N * sp.mu * sp.mu * e_one * e_two / (2.0 * sp.gamma * detune), "chi3")
 
 
 def two_exciton_diagonalize(h: TwoBranchHamiltonian) -> tuple[float, float, float]:

@@ -13,10 +13,11 @@ Temperature does not enter the propagator.
 
 A sweep evaluates its points as blocks: the profiles of consecutive points
 that share one chain length N, ordered by c t, form the rows of one array.
-A Bessel row is computed once per N and c t, and a point's values do not
-depend on how its sweep is blocked.  ``occupation_profile`` builds one
-point's profile as Python floats, with the Bessel row ``bessel_j`` uses, and
-never loads numpy; it agrees with the block path to about 1e-14 relative.
+One batched descent per sweep yields its Bessel rows, once per N and c t,
+and a point's values do not depend on how its sweep is blocked.
+``occupation_profile`` builds one point's profile as Python floats, with the
+Bessel row ``bessel_j`` uses, and never loads numpy; it agrees with the block
+path to about 1e-14 relative.
 
 All functions are pure; independent (site, time) points can be evaluated
 concurrently.
@@ -25,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import OCCUPATION_SUM_EPS, ModelParams, OccupationProfile, check_finite, check_time, make_window
-from .specfun import MAX_ORDER, _check_row, _fsum_row, bessel_j, bessel_j_row
+from .specfun import MAX_ORDER, _check_row, _fsum_row, bessel_j, bessel_j_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,37 +99,42 @@ def _check_point(t: float, p: ModelParams) -> tuple[float, ModelParams]:
 
 
 def _occupation_blocks(points: Sequence[tuple[float, ModelParams]]) -> Iterator[np.ndarray]:
-    """Transfer probabilities of checked ``(t, p)`` points that share one ``N``.
+    """Transfer probabilities of checked ``(t, p)`` points, ordered by ``(N, c t)``.
 
-    The points come ordered by ``c t``.  Each block holds the profiles of the
-    next ``_BLOCK_ELEMENTS // N`` points (at least one), one per row, and
-    each Bessel row is computed once, also where a run of equal ``c t``
-    crosses into the next block.  A block is C-ordered, so a sum along its
-    last axis adds a row's entries alike whatever block holds it: a sweep's
-    values do not depend on its blocking.
+    Each block holds the profiles of the next points of one ``N``, at most
+    ``_BLOCK_ELEMENTS // N`` of them (at least one), one per row.  One batched
+    descent yields the Bessel rows of all the points, once per ``N`` and
+    ``c t``, as the blocks consume them; a row is carried into the next block
+    where a run of equal ``c t`` crosses into it.  A block is C-ordered, so a
+    sum along its last axis adds a row's entries alike whatever block holds
+    it: a sweep's values do not depend on its blocking.
     """
     import numpy as np
 
-    N = points[0][1].N
-    step = max(1, _BLOCK_ELEMENTS // N)
-    window = np.abs(np.asarray(make_window(N)))
-    rows: dict[float, np.ndarray] = {}
-    for lo in range(0, len(points), step):
-        block = points[lo:lo + step]
-        xs = [p.c * t for t, p in block]
-        rows = {x: rows[x] if x in rows else bessel_j_row(N // 2, x) for x in dict.fromkeys(xs)}
-        # np.take keeps C order, where rows[:, window] would give a Fortran-ordered block.
-        j = np.take(np.array([rows[x] for x in xs]), window, axis=1)
-        decay = np.array([[math.exp(-p.b * p.b * t)] for t, p in block])
-        dressing = np.array([[math.exp(-p.a * p.a)] for _, p in block])
-        # Grouping keeps the a-dependence an exact scalar factor of each row.
-        u = dressing * ((j * j) * decay)
-        if not ((u >= 0) & (u <= 1)).all():  # NaN fails both comparisons
-            raise ValueError("occupation probabilities must lie in [0, 1]")
-        if (u.sum(axis=1) > 1.0 + OCCUPATION_SUM_EPS).any():
-            raise ValueError("total occupation probability exceeds unity")
-        del j  # while the block is consumed, only it and the rows the next may share stay
-        yield u
+    runs = [list(run) for _, run in groupby(points, key=lambda point: point[1].N)]
+    table = bessel_j_rows([(run[0][1].N // 2, x)
+                           for run in runs for x in dict.fromkeys(p.c * t for t, p in run)])
+    for run in runs:
+        N = run[0][1].N
+        step = max(1, _BLOCK_ELEMENTS // N)
+        window = np.abs(np.asarray(make_window(N)))
+        rows: dict[float, np.ndarray] = {}
+        for lo in range(0, len(run), step):
+            block = run[lo:lo + step]
+            xs = [p.c * t for t, p in block]
+            rows = {x: rows[x] if x in rows else next(table) for x in dict.fromkeys(xs)}
+            # np.take keeps C order, where rows[:, window] would give a Fortran-ordered block.
+            j = np.take(np.array([rows[x] for x in xs]), window, axis=1)
+            decay = np.array([[math.exp(-p.b * p.b * t)] for t, p in block])
+            dressing = np.array([[math.exp(-p.a * p.a)] for _, p in block])
+            # Grouping keeps the a-dependence an exact scalar factor of each row.
+            u = dressing * ((j * j) * decay)
+            if not ((u >= 0) & (u <= 1)).all():  # NaN fails both comparisons
+                raise ValueError("occupation probabilities must lie in [0, 1]")
+            if (u.sum(axis=1) > 1.0 + OCCUPATION_SUM_EPS).any():
+                raise ValueError("total occupation probability exceeds unity")
+            del j  # while the block is consumed, only it and the rows the next may share stay
+            yield u
 
 
 def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:

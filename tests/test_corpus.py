@@ -148,6 +148,8 @@ ERRORS = {
                                        "d_shift=-0.1", "v=-0.3")),
     "eval_exciton_energy_negative_delta_e": (None, ("eval", "exciton_energy", "k=0", "delta_e=-5",
                                                     "d_shift=0", "v=0")),
+    "eval_chi3_huge_mu": (None, ("eval", "chi3", "N=40", "mu=1e200")),
+    "eval_chi3_subnormal_gamma": (None, ("eval", "chi3", "N=40", "gamma=1e-320")),
 }
 
 # preset -> overriding configuration lines

@@ -18,7 +18,7 @@ from jband_sim.experiments import (
 )
 from jband_sim.measures import _site_entropies, extended_state_entropy
 from jband_sim.output import render_csv
-from jband_sim.specfun import bessel_j_row
+from jband_sim.specfun import bessel_j_row, bessel_j_rows
 
 PLATEAU = 2.0 - math.log(2.0)
 
@@ -360,6 +360,19 @@ def test_entropy_sweep_equals_point_by_point(spec, monkeypatch):
         assert {suffix: list(table.rows) for suffix, table in tables.items()} == expected, cap
 
 
+def counting_rows(monkeypatch):
+    """The keys the sweeps hand to the batched descent, as they hand them."""
+    keys = []
+
+    def rows(requested):
+        requested = list(requested)
+        keys.extend(requested)
+        return bessel_j_rows(requested)
+
+    monkeypatch.setattr(propagator, "bessel_j_rows", rows)
+    return keys
+
+
 @pytest.mark.parametrize("name", sorted(n for n, d in EXPERIMENTS.items() if d.kind == "entropy"))
 def test_each_bessel_row_is_computed_once(name, monkeypatch):
     # Points that share N // 2 and c t share one row, even where a block of
@@ -371,11 +384,9 @@ def test_each_bessel_row_is_computed_once(name, monkeypatch):
                           for x in sweep_grid(plan.sweep) for curve in plan.curves)}
     for cap in (propagator._BLOCK_ELEMENTS, 1):
         monkeypatch.setattr(propagator, "_BLOCK_ELEMENTS", cap)
-        calls = []
-        monkeypatch.setattr(propagator, "bessel_j_row",
-                            lambda n_max, x: calls.append((n_max, x)) or bessel_j_row(n_max, x))
+        keys = counting_rows(monkeypatch)
         run_experiment_outputs(ExperimentSpec(name))
-        assert sorted(calls) == sorted(expected), cap
+        assert sorted(keys) == sorted(expected), cap
 
 
 @pytest.mark.parametrize("var", ["a", "b"])
@@ -386,12 +397,11 @@ def test_a_run_of_equal_ct_is_cut_into_capped_blocks(var, monkeypatch):
     params, axis = EQUIVALENCE_SWEEPS[var]
     spec = ExperimentSpec("custom", {**params, "N": 201}, axis)
     monkeypatch.setattr(propagator, "_BLOCK_ELEMENTS", 5 * 201)
-    sizes, calls = [], []
+    sizes = []
     monkeypatch.setattr(experiments, "_occupation_blocks",
                         lambda points: (sizes.append(len(u)) or u
                                         for u in propagator._occupation_blocks(points)))
-    monkeypatch.setattr(propagator, "bessel_j_row",
-                        lambda n_max, x: calls.append((n_max, x)) or bessel_j_row(n_max, x))
+    keys = counting_rows(monkeypatch)
     run_experiment_outputs(spec)
     assert sizes == [5, 5, 5, 5, 3]
-    assert len(calls) == 1
+    assert len(keys) == 1

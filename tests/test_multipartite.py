@@ -160,6 +160,12 @@ def test_chi3_rejects_bad_parameters(kw):
         chi3_magnitude(8, susceptibility(**kw))
 
 
+@pytest.mark.parametrize("kw", [dict(mu=1e200), dict(mu=1e308), dict(gamma=1e-320)])
+def test_chi3_beyond_the_float_range_is_a_domain_error(kw):
+    with pytest.raises(ValueError, match="chi3 lies beyond the float range"):
+        chi3_magnitude(40, susceptibility(**kw))
+
+
 def test_chi3_rejects_small_aggregates():
     with pytest.raises(ValueError):
         chi3_magnitude(3, susceptibility())

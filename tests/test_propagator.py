@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jband_sim import cli
+from jband_sim import cli, specfun
 from jband_sim.core import ModelParams, make_window
 from jband_sim.propagator import (
     DipolePair,
@@ -155,6 +156,30 @@ def test_point_occupation_matches_the_array_profile(t, p):
     assert type(point) is tuple and all(type(v) is float for v in point)
     block = next(_occupation_blocks([_check_point(t, p)]))[0]
     np.testing.assert_allclose(point, block, rtol=1e-14, atol=1e-300)
+
+
+def test_sweep_working_memory_is_bounded():
+    # A t sweep at the largest window, with more distinct c t than one batched
+    # descent takes.  The descent keeps two checkpoint floats per column every
+    # _CHECKPOINT_STEPS steps of the longest descent, and a replay group holds
+    # at most three buffers of _REPLAY_FLOATS floats; a block at N = 4001 holds
+    # a few arrays of N floats.  The rest is the sweep's points and keys.  Rows
+    # kept for the whole sweep, or whole histories, would take several MiB.
+    N = 4001
+    longest = specfun.MAX_ORDER + math.ceil(1.5 * specfun.MAX_ARGUMENT) + specfun._ORDER_MARGIN
+    kernel = 8 * (2 * specfun._BATCH_COLUMNS * (longest // specfun._CHECKPOINT_STEPS + 2)
+                  + 3 * specfun._REPLAY_FLOATS)
+    bound = kernel + 8 * 8 * N + 2**18
+    points = [_check_point(0.005 * k, params(c=100.0, N=N)) for k in range(1, 301)]
+    next(_occupation_blocks(points[:1]))  # numpy and its first-use allocations
+    tracemalloc.start()
+    try:
+        for _ in _occupation_blocks(points):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 def test_band_edges():

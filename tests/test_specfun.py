@@ -1,11 +1,23 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jband_sim.specfun import bessel_j, bessel_j_row
+from jband_sim import specfun
+from jband_sim.specfun import (
+    _ORDER_MARGIN,
+    _SERIES_CUTOFF,
+    MAX_ARGUMENT,
+    MAX_ORDER,
+    _descent,
+    _series_row,
+    bessel_j,
+    bessel_j_row,
+    bessel_j_rows,
+)
 
 from oracles import bessel_mp, bessel_series
 
@@ -184,3 +196,71 @@ def test_returned_rows_are_read_only(x):
     again = bessel_j_row(30, x)
     assert not again.flags.writeable
     assert np.array_equal(again, expected)
+
+
+def scalar_row(n_max, x):
+    # The one-key row as the scalar descent computes it: the reference that
+    # the batched descent must equal bit for bit.
+    if x < _SERIES_CUTOFF:
+        return np.array(_series_row(n_max, x))
+    f = np.array(_descent(n_max, x))
+    norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
+    return f[: n_max + 1] / norm
+
+
+def assert_rows_bit_exact(keys):
+    rows = list(bessel_j_rows(keys))
+    assert len(rows) == len(keys)
+    for (n_max, x), row in zip(keys, rows):
+        assert not row.flags.writeable
+        assert np.array_equal(row, scalar_row(n_max, x)), (n_max, x)
+
+
+ARGUMENTS = st.one_of(
+    st.sampled_from([0.0, math.nextafter(_SERIES_CUTOFF, 0.0), _SERIES_CUTOFF, MAX_ARGUMENT]),
+    st.floats(min_value=-8.0, max_value=3.0).map(lambda e: min(10.0 ** e, MAX_ARGUMENT)),
+)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=MAX_ORDER), ARGUMENTS),
+                min_size=1, max_size=8)
+       .flatmap(lambda keys: st.permutations(keys + keys[: len(keys) // 2])))
+@settings(deadline=None, max_examples=40)
+@example([(7, 2.5)])
+@example([(0, 0.0), (0, _SERIES_CUTOFF), (0, MAX_ARGUMENT)])
+# Small arguments at large orders rescale the descent many times.
+@example([(2000, 1e-8), (2000, 3.0), (1500, 1e-7), (2000, 1e-8), (300, 0.01), (2000, 1000.0)])
+def test_batched_rows_equal_the_scalar_descent(keys):
+    assert_rows_bit_exact(keys)
+
+
+@pytest.mark.parametrize("columns,steps,floats", [
+    (1, 8, 2**12), (3, 16, 2**12), (7, 32, 2**13), (5, _ORDER_MARGIN, 2**16),
+])
+def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, floats, monkeypatch):
+    # Several batches and several replay groups per batch, for any checkpoint
+    # interval up to the shortest descent.
+    monkeypatch.setattr(specfun, "_BATCH_COLUMNS", columns)
+    monkeypatch.setattr(specfun, "_CHECKPOINT_STEPS", steps)
+    monkeypatch.setattr(specfun, "_REPLAY_FLOATS", floats)
+    rng = random.Random(columns)
+    keys = [(rng.randint(0, MAX_ORDER), min(10.0 ** rng.uniform(-9.0, 3.0), MAX_ARGUMENT))
+            for _ in range(14)]
+    assert_rows_bit_exact(keys + [(MAX_ORDER, MAX_ARGUMENT), (0, 1e-8), keys[3]])
+
+
+def test_batch_constants_fit_every_descent():
+    # A checkpoint interval longer than the shortest descent would replay past
+    # order 0, and a replay buffer must hold the longest column's segments.
+    # A descent from start s runs s - 1 steps.
+    shortest = 0 + math.ceil(1.5 * _SERIES_CUTOFF) + _ORDER_MARGIN
+    longest = MAX_ORDER + math.ceil(1.5 * MAX_ARGUMENT) + _ORDER_MARGIN
+    assert specfun._CHECKPOINT_STEPS <= shortest - 1
+    assert (longest // specfun._CHECKPOINT_STEPS + 2) * specfun._CHECKPOINT_STEPS \
+        <= specfun._REPLAY_FLOATS
+
+
+def test_batched_rows_check_every_key():
+    with pytest.raises(ValueError, match="x must be"):
+        list(bessel_j_rows([(10, 1.0), (10, -1.0)]))
+    assert list(bessel_j_rows([])) == []
