@@ -42,6 +42,13 @@ def check_time(t) -> float:
     return t
 
 
+def check_finite_fields(record, *names: str) -> None:
+    """``ValueError`` naming the first of the fields ``names`` of ``record`` that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(record, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 def check_finite(value: float, name: str) -> float:
     """``value``; ``ValueError`` if it is not finite, as a true value beyond the float range."""
     if not math.isfinite(value):

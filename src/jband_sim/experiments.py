@@ -180,12 +180,12 @@ def _entropy_sweep(points: Iterable[Mapping[str, float]]) -> list[tuple[float, f
     # Every point is checked, in sweep order, before any block is computed, so
     # the first point out of the domain names the error.
     checked = [_check_point(v["t"], model_params(v)) for v in points]
-    order = sorted(range(len(checked)), key=lambda k: (checked[k][1].N, checked[k][1].c * checked[k][0]))
+    order = sorted(range(len(checked)), key=lambda k: checked[k][:2])
     blocks = _occupation_blocks([checked[k] for k in order])
     totals = chain.from_iterable(_site_entropies(u).sum(axis=1).tolist() for u in blocks)
     values: list = [None] * len(checked)
     for k, total in zip(order, totals):
-        values[k] = (total, total / checked[k][1].N)
+        values[k] = (total, total / checked[k][0])
     return values
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import check_finite, check_integer
+from .core import check_finite, check_finite_fields, check_integer
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,7 @@ class TwoBranchHamiltonian:
     t_coupling: float
 
     def __post_init__(self):
-        for name in ("e1", "e2", "t_coupling"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_finite_fields(self, "e1", "e2", "t_coupling")
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,7 @@ class SusceptibilityParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        for name in ("mu", "gamma", "delta_e", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_finite_fields(self, "mu", "gamma", "delta_e", "omega")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.delta_e <= 0:

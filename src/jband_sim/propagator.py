@@ -11,13 +11,13 @@ in-window probability starts below one; the deficit is the weight carried by
 the phonon-dressed component and is deliberately not renormalised away.
 Temperature does not enter the propagator.
 
-A sweep evaluates its points as blocks: the profiles of consecutive points
-that share one chain length N, ordered by c t, form the rows of one array.
-One batched descent per sweep yields its Bessel rows, once per N and c t,
-and a point's values do not depend on how its sweep is blocked.
-``occupation_profile`` builds one point's profile as Python floats, with the
-Bessel row ``bessel_j`` uses, and never loads numpy; it agrees with the block
-path to about 1e-14 relative.
+``_check_point`` checks a point and returns its profile inputs: N, c t,
+exp(-a^2) and exp(-b^2 t).  A sweep evaluates them in blocks, the profiles
+of consecutive points of one N, ordered by c t, as the rows of one array;
+one batched descent per sweep yields their Bessel rows, once per N and c t,
+and a point's values do not depend on the blocking.  ``occupation_profile``
+builds one profile from the same inputs as Python floats and never loads
+numpy; it agrees with the block path to about 1e-14 relative.
 
 All functions are pure; independent (site, time) points can be evaluated
 concurrently.
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import OCCUPATION_SUM_EPS, ModelParams, OccupationProfile, check_finite, check_time, make_window
+from .core import (OCCUPATION_SUM_EPS, ModelParams, OccupationProfile, check_finite, check_finite_fields,
+                   check_time, make_window)
 from .specfun import MAX_ORDER, _check_row, _fsum_row, bessel_j, bessel_j_rows
 
 if TYPE_CHECKING:
@@ -57,9 +58,7 @@ class DispersionParams:
     v: float
 
     def __post_init__(self):
-        for name in ("delta_e", "d_shift", "v"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_finite_fields(self, "delta_e", "d_shift", "v")
         if self.delta_e <= 0:
             raise ValueError("delta_e must be positive")
 
@@ -73,9 +72,7 @@ class DipolePair:
     d: float
 
     def __post_init__(self):
-        for name in ("mu_i", "mu_j"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_finite_fields(self, "mu_i", "mu_j")
         if not (math.isfinite(self.d) and self.d > 0):
             raise ValueError("d must be positive")
 
@@ -88,18 +85,18 @@ def transfer_probability(n: int, t: float, p: ModelParams) -> float:
     return math.exp(-p.a * p.a) * (j * j * math.exp(-p.b * p.b * t))
 
 
-def _check_point(t: float, p: ModelParams) -> tuple[float, ModelParams]:
-    """``(t, p)`` with ``t`` as a float, after every check ``occupation_profile`` makes."""
+def _check_point(t: float, p: ModelParams) -> tuple[int, float, float, float]:
+    """Profile inputs ``(N, c t, exp(-a^2), exp(-b^2 t))`` of a point; ``ValueError`` outside the domain."""
     t = check_time(t)
     if p.N // 2 > MAX_ORDER:
         raise ValueError(f"N must be <= {2 * MAX_ORDER + 1}, the largest window "
                          "inside the Bessel order envelope")
-    _check_row(p.N // 2, p.c * t)
-    return t, p
+    _, x = _check_row(p.N // 2, p.c * t)
+    return p.N, x, math.exp(-p.a * p.a), math.exp(-p.b * p.b * t)
 
 
-def _occupation_blocks(points: Sequence[tuple[float, ModelParams]]) -> Iterator[np.ndarray]:
-    """Transfer probabilities of checked ``(t, p)`` points, ordered by ``(N, c t)``.
+def _occupation_blocks(points: Sequence[tuple[int, float, float, float]]) -> Iterator[np.ndarray]:
+    """Transfer probabilities of ``_check_point`` inputs, ordered by ``(N, c t)``.
 
     Each block holds the profiles of the next points of one ``N``, at most
     ``_BLOCK_ELEMENTS // N`` of them (at least one), one per row.  One batched
@@ -111,24 +108,21 @@ def _occupation_blocks(points: Sequence[tuple[float, ModelParams]]) -> Iterator[
     """
     import numpy as np
 
-    runs = [list(run) for _, run in groupby(points, key=lambda point: point[1].N)]
-    table = bessel_j_rows([(run[0][1].N // 2, x)
-                           for run in runs for x in dict.fromkeys(p.c * t for t, p in run)])
+    runs = [list(run) for _, run in groupby(points, key=lambda point: point[0])]
+    table = bessel_j_rows([(run[0][0] // 2, x)
+                           for run in runs for x in dict.fromkeys(point[1] for point in run)])
     for run in runs:
-        N = run[0][1].N
+        N = run[0][0]
         step = max(1, _BLOCK_ELEMENTS // N)
         window = np.abs(np.asarray(make_window(N)))
         rows: dict[float, np.ndarray] = {}
         for lo in range(0, len(run), step):
-            block = run[lo:lo + step]
-            xs = [p.c * t for t, p in block]
+            _, xs, dressing, decay = zip(*run[lo:lo + step])
             rows = {x: rows[x] if x in rows else next(table) for x in dict.fromkeys(xs)}
             # np.take keeps C order, where rows[:, window] would give a Fortran-ordered block.
             j = np.take(np.array([rows[x] for x in xs]), window, axis=1)
-            decay = np.array([[math.exp(-p.b * p.b * t)] for t, p in block])
-            dressing = np.array([[math.exp(-p.a * p.a)] for _, p in block])
             # Grouping keeps the a-dependence an exact scalar factor of each row.
-            u = dressing * ((j * j) * decay)
+            u = np.array(dressing)[:, None] * ((j * j) * np.array(decay)[:, None])
             if not ((u >= 0) & (u <= 1)).all():  # NaN fails both comparisons
                 raise ValueError("occupation probabilities must lie in [0, 1]")
             if (u.sum(axis=1) > 1.0 + OCCUPATION_SUM_EPS).any():
@@ -139,12 +133,11 @@ def _occupation_blocks(points: Sequence[tuple[float, ModelParams]]) -> Iterator[
 
 def occupation_profile(t: float, p: ModelParams) -> OccupationProfile:
     """Transfer probabilities over the full centred window at time t."""
-    t, p = _check_point(t, p)
-    row = _fsum_row(p.N // 2, p.c * t)
-    dressing, decay = math.exp(-p.a * p.a), math.exp(-p.b * p.b * t)
+    N, x, dressing, decay = _check_point(t, p)
+    row = _fsum_row(N // 2, x)
     # Grouping keeps the a-dependence an exact scalar factor.
-    u = [dressing * ((j * j) * decay) for j in (row[abs(n)] for n in make_window(p.N))]
-    return OccupationProfile(u=u, t=t)
+    u = [dressing * ((j * j) * decay) for j in (row[abs(n)] for n in make_window(N))]
+    return OccupationProfile(u=u, t=float(t))
 
 
 def window_survival(t: float, p: ModelParams) -> float:

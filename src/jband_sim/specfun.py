@@ -17,7 +17,8 @@ take all their rows from, steps the descents of many ``(n_max, x)`` keys
 together as numpy vectors; numpy's float64 rounds each operation as Python
 floats do.  It sums the squares with numpy's ``dot``, and its rows equal
 ``bessel_j_row``, its one-key case, bit for bit.  A ``bessel_j`` value lies
-within 2 ulp of the row's entry for that order.
+within 2 ulp of the row's entry for that order.  ``bessel_j`` and
+``bessel_j_row`` check their key; ``bessel_j_rows`` takes checked keys.
 
 All functions are pure and keep no state between calls; every row returned is
 a new read-only array.  Callers that need one row for several points, such as
@@ -118,18 +119,19 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     Requires ``n_max <= MAX_ORDER`` and ``x <= MAX_ARGUMENT``.  The returned
     array is read-only.
     """
-    return next(bessel_j_rows([(n_max, x)]))
+    return next(bessel_j_rows([_check_row(n_max, x)]))
 
 
 def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
     """``bessel_j_row(n_max, x)`` for each ``(n_max, x)`` of ``keys``, in order.
 
-    Each row equals the one-key row bit for bit, but the descents of up to
+    The keys must have passed ``_check_row``, which is not run again.  Each
+    row equals the one-key row bit for bit, but the descents of up to
     ``_BATCH_COLUMNS`` keys step together as numpy vectors.  The working
     arrays stay within a size the module constants fix, whatever the number
     of keys, and a row is computed when it is asked for.
     """
-    keys = [_check_row(n_max, x) for n_max, x in keys]
+    keys = list(keys)
     for lo in range(0, len(keys), _BATCH_COLUMNS):
         yield from _batch_rows(keys[lo:lo + _BATCH_COLUMNS])
 

@@ -178,6 +178,9 @@ CUSTOM = {
     "wide_c_seed1": ({"N": 1000, "t": 10.0, "a": 0.4701, "b": 0.1138}, ("c", 1.0, 90.0, 0.47)),
     "wide_t_seed7": ({"N": 2000, "c": 60.0, "a": 0.2281, "b": 0.0877}, ("t", 0.0, 15.0, 0.075)),
     "wide_c_seed7": ({"N": 1000, "t": 10.0, "a": 0.408, "b": 0.0681}, ("c", 1.0, 90.0, 0.47)),
+    # The same long rows (n_max 1000, x up to 900) at fixed couplings.
+    "wide_t": ({"N": 2000, "c": 60.0, "a": 0.3, "b": 0.2}, ("t", 0.0, 15.0, 0.075)),
+    "wide_c": ({"N": 1000, "t": 10.0, "a": 0.3, "b": 0.2}, ("c", 1.0, 90.0, 0.47)),
 }
 
 

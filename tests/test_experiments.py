@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jband_sim import experiments, propagator
+from jband_sim import experiments, propagator, specfun
 from jband_sim.config import ConfigError, parse_config
 from jband_sim.core import make_window, model_params
 from jband_sim.experiments import (
@@ -387,6 +387,26 @@ def test_each_bessel_row_is_computed_once(name, monkeypatch):
         keys = counting_rows(monkeypatch)
         run_experiment_outputs(ExperimentSpec(name))
         assert sorted(keys) == sorted(expected), cap
+
+
+def test_each_entropy_point_is_checked_once(monkeypatch):
+    # One Bessel key check per entropy point of the ten bundled studies: the
+    # batched descent takes the keys as _check_point passed them.
+    calls, check = [], specfun._check_row
+
+    def check_row(n_max, x):
+        calls.append((n_max, x))
+        return check(n_max, x)
+
+    monkeypatch.setattr(specfun, "_check_row", check_row)
+    monkeypatch.setattr(propagator, "_check_row", check_row)
+    points = 0
+    for name in sorted(EXPERIMENTS.keys() - {"custom"}):
+        plan = resolve(ExperimentSpec(name))
+        if plan.kind == "entropy":
+            points += len(sweep_grid(plan.sweep)) * len(plan.curves)
+        run_experiment_outputs(ExperimentSpec(name))
+    assert len(calls) == points == 2883
 
 
 @pytest.mark.parametrize("var", ["a", "b"])

@@ -177,7 +177,17 @@ N_ENVELOPE = "domain error: N must be <= 4001, the largest window inside the Bes
     # leaves the order envelope at a later N: grid order decides, then curve order.
     ("experiment = fig1b\nc = 150\nsweep_start = 3950\nsweep_stop = 4100\nsweep_step = 50\n",
      X_ENVELOPE),
-], ids=["x-mid-sweep", "N-mid-sweep", "first-point-wins"])
+    # The t = 9 curve's c t is 1800 at the first N; N passes 4001 only at later points.
+    ("experiment = fig1b\nc = 200\nsweep_stop = 9000\n", X_ENVELOPE),
+    ("experiment = fig1b\nsweep_stop = 9000\n", N_ENVELOPE),
+    # The second point's c t is 2e304; from t = 1.8e8 on, c t overflows to inf.
+    ("experiment = custom\nc = 1e300\nsweep_stop = 1e9\nsweep_step = 2e4\n", X_ENVELOPE),
+    ("experiment = custom\nsweep_stop = 1e308\nsweep_step = 5e307\n",
+     "domain error: x must be finite\n"),
+    # The grid's first point already fails: a domain error (exit 2), not a config error.
+    ("experiment = fig1a\nsweep_start = 50\nsweep_stop = 60\n", X_ENVELOPE),
+], ids=["x-mid-sweep", "N-mid-sweep", "first-point-wins", "x-before-N", "N-alone",
+        "x-before-overflow", "x-overflows", "first-grid-point"])
 def test_cli_sweep_error_names_the_first_failing_point(tmp_path, capsys, text, message):
     cfg = write_config(tmp_path, text + f"out = {tmp_path / 'data'}\n")
     assert cli.main(["run", "--config", str(cfg)]) == 2

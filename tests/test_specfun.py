@@ -260,7 +260,12 @@ def test_batch_constants_fit_every_descent():
         <= specfun._REPLAY_FLOATS
 
 
-def test_batched_rows_check_every_key():
-    with pytest.raises(ValueError, match="x must be"):
-        list(bessel_j_rows([(10, 1.0), (10, -1.0)]))
+def test_one_key_calls_check_their_key():
+    # bessel_j_rows takes keys its caller has checked; the one-key calls check their own.
+    for n, x, message in [(10, -1.0, "x must be >= 0"), (10, math.nan, "x must be finite"),
+                          (10, math.nextafter(MAX_ARGUMENT, math.inf), "x must be <= 1000"),
+                          (MAX_ORDER + 1, 1.0, "n_max must be <= 2000")]:
+        for call in (bessel_j_row, bessel_j):
+            with pytest.raises(ValueError, match=message):
+                call(n, x)
     assert list(bessel_j_rows([])) == []
