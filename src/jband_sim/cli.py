@@ -184,9 +184,12 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# Built once: each build leaves objects in reference cycles for the collector.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

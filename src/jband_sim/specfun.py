@@ -50,11 +50,10 @@ MAX_ORDER = 2000
 MAX_ARGUMENT = 1000.0
 # Batched descents: a forward pass steps up to _BATCH_COLUMNS columns and keeps
 # their state every _CHECKPOINT_STEPS steps, no more than the shortest descent
-# takes; replays recompute the histories in buffers of _REPLAY_FLOATS floats,
-# which hold the longest column.
+# takes; a replay group recomputes up to _BATCH_COLUMNS segments of that many
+# steps, which hold the longest column.
 _BATCH_COLUMNS = 256
 _CHECKPOINT_STEPS = 32
-_REPLAY_FLOATS = 2**13
 
 
 def _start(n_max: int, x: float) -> int:
@@ -127,55 +126,52 @@ def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
 
     The keys must have passed ``_check_row``, which is not run again.  Each
     row equals the one-key row bit for bit, but the descents of up to
-    ``_BATCH_COLUMNS`` keys step together as numpy vectors.  The working
-    arrays stay within a size the module constants fix, whatever the number
-    of keys, and a row is computed when it is asked for.
-    """
-    keys = list(keys)
-    for lo in range(0, len(keys), _BATCH_COLUMNS):
-        yield from _batch_rows(keys[lo:lo + _BATCH_COLUMNS])
-
-
-def _batch_rows(keys: list[tuple[int, float]]) -> Iterator[np.ndarray]:
-    """The rows of at most ``_BATCH_COLUMNS`` checked keys, in order.
-
-    Every key that takes the descent is a column.  A forward pass steps all
+    ``_BATCH_COLUMNS`` keys step together as numpy vectors: every key of a
+    batch that takes the descent is a column.  A forward pass steps all
     columns together and keeps only each column's state every
     ``_CHECKPOINT_STEPS`` steps, and the steps at which it was rescaled.
     Replays then recompute the columns' histories from those checkpoints, a
-    group of consecutive columns at a time, as the rows are asked for.
+    group of consecutive columns at a time, as the rows are asked for.  The
+    working arrays stay within a size the module constants fix, whatever the
+    number of keys.
     """
     import numpy as np
 
-    B = _CHECKPOINT_STEPS
-    # Columns by descending start, so those descending at any step are a prefix.
-    cols = sorted((j for j, (_, x) in enumerate(keys) if x >= _SERIES_CUTOFF),
-                  key=lambda j: -_start(*keys[j]))
-    if cols:
-        starts = [_start(*keys[j]) for j in cols]
-        xs = [keys[j][1] for j in cols]
-        # In key order, column p owns the replay segments from first[p] on, and
-        # a group takes columns while their segments fit the replay buffer.
-        first = [0] * len(cols)
-        groups: list[list[int]] = []
-        total = 0
-        for p in sorted(range(len(cols)), key=cols.__getitem__):
-            first[p] = total
-            total += starts[p] // B + 2
-            if not groups or total - first[groups[-1][0]] > _REPLAY_FLOATS // B:
-                groups.append([])
-            groups[-1].append(p)
-        state, events = _forward(starts, np.array(xs), first, total)
-        n_maxes = [keys[j][0] for j in cols]
-        rows = chain.from_iterable(_replay(group, n_maxes, starts, xs, first, state, events)
-                                   for group in groups)
-    for n_max, x in keys:
-        if x < _SERIES_CUTOFF:
-            row = np.array(_series_row(n_max, x))
+    keys = list(keys)
+    for lo in range(0, len(keys), _BATCH_COLUMNS):
+        batch = keys[lo:lo + _BATCH_COLUMNS]
+        # Columns by descending start, so those descending at any step are a prefix.
+        cols = sorted((j for j, (_, x) in enumerate(batch) if x >= _SERIES_CUTOFF),
+                      key=lambda j: -_start(*batch[j]))
+        if cols:
+            starts = [_start(*batch[j]) for j in cols]
+            xs = [batch[j][1] for j in cols]
+            # In key order, column p owns the replay segments from first[p] on,
+            # and a group takes columns while they own _BATCH_COLUMNS or fewer.
+            first = [0] * len(cols)
+            groups: list[list[int]] = []
+            total = 0
+            for p in sorted(range(len(cols)), key=cols.__getitem__):
+                first[p] = total
+                total += (starts[p] - 1) // _CHECKPOINT_STEPS + 1
+                if not groups or total - first[groups[-1][0]] > _BATCH_COLUMNS:
+                    groups.append([])
+                groups[-1].append(p)
+            state, events = _forward(starts, np.array(xs), first, total)
+            histories = chain.from_iterable(_replay(group, starts, xs, first, state, events)
+                                            for group in groups)
+        for n_max, x in batch:
+            if x < _SERIES_CUTOFF:
+                row = np.array(_series_row(n_max, x))
+            else:
+                f = next(histories)
+                # np.dot, not math.fsum as in _fsum_row: on a 2-vCPU Xeon it
+                # normalises a 2 391-term row in 102 us against 252-287 us.
+                # f is contiguous: a strided dot would round differently.
+                norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
+                row = f[:n_max + 1] / norm
             row.setflags(write=False)
             yield row
-        else:
-            yield next(rows)
 
 
 def _forward(starts: list[int], x: np.ndarray, first: list[int], total: int
@@ -186,9 +182,9 @@ def _forward(starts: list[int], x: np.ndarray, first: list[int], total: int
     start, and sees exactly the scalar descent's operations: numpy rounds
     each elementwise operation as Python floats do and fuses none.  Returns
     the ``(hi, lo)`` each replay segment starts from, and the steps at which
-    each column was rescaled.  Segment q < (start - 1) // B of column p,
-    ``first[p] + q``, starts before step (q + 1) B; its last segment starts
-    from the seeds.  The others start from zeros.
+    each column was rescaled.  A column of start s owns the (s - 1) // B + 1
+    segments from ``first[p]`` on: segment q < (s - 1) // B starts before
+    step (q + 1) B, and the last one from the seeds.
     """
     import numpy as np
 
@@ -197,7 +193,7 @@ def _forward(starts: list[int], x: np.ndarray, first: list[int], total: int
     hi, lo, c = np.zeros(w), np.zeros(w), np.zeros(w)
     segments = np.array(first)
     state = np.zeros((2, total))
-    state[1, [f + s // B + 1 for f, s in zip(first, starts)]] = 1e-30
+    state[1, [f + (s - 1) // B for f, s in zip(first, starts)]] = 1e-30
     events: list[list[int]] = [[] for _ in range(w)]
     divide, multiply, subtract = np.divide, np.multiply, np.subtract
     limit = _RESCALE_LIMIT * _RESCALE_LIMIT
@@ -227,16 +223,14 @@ def _forward(starts: list[int], x: np.ndarray, first: list[int], total: int
     return state, events
 
 
-def _replay(group, n_maxes, starts, xs, first, state, events) -> Iterator[np.ndarray]:
-    """The normalised rows of the columns of one group, in order.
+def _replay(group, starts, xs, first, state, events) -> Iterator[np.ndarray]:
+    """The unnormalised histories f[0 .. s] of the columns of one group, in order.
 
     All segments run their ``_CHECKPOINT_STEPS`` steps in parallel.  A column
-    of start s owns s // B + 2 consecutive segments: the first s // B + 1
-    cover orders 0 .. s, those above its highest checkpoint from zeros, and
-    the last runs from its seeds and supplies the orders above that
-    checkpoint.  A column's history is copied out contiguous, so it is
-    normalised with the same ``np.dot`` as the one-key row: a strided ``dot``
-    would round differently.
+    of start s owns Q + 1 consecutive segments, Q = (s - 1) // B: the first Q
+    replay orders 0 .. QB - 1 from its checkpoints, and the last runs from
+    its seeds and supplies orders QB .. s - 2, the first (s - 1) % B of its
+    steps.  Each history is a new contiguous array.
     """
     import numpy as np
 
@@ -247,14 +241,16 @@ def _replay(group, n_maxes, starts, xs, first, state, events) -> Iterator[np.nda
     rescaled: dict[int, list[int]] = {}  # step -> segments rescaled at it
     for g in group:
         start, q = starts[g], (starts[g] - 1) // B
-        size, base = start // B + 1, first[g] - offset
-        firsts += [*range(B, (q + 1) * B, B), *[0] * (size - q), start - 1]
-        x += [xs[g]] * (size + 1)
+        base = first[g] - offset
+        firsts += [*range(B, (q + 1) * B, B), start - 1]
+        x += [xs[g]] * (q + 1)
+        # The seed segment steps on past order QB; its rescales there keep
+        # those discarded values finite.
         for n in events[g]:
             if n <= q * B:
                 rescaled.setdefault(-n % B, []).append(base + (n - 1) // B)
             if n > start - 1 - B:
-                rescaled.setdefault(start - 1 - n, []).append(base + size)
+                rescaled.setdefault(start - 1 - n, []).append(base + q)
     two_n, x = 2.0 * np.array(firsts, dtype=float), np.array(x)
     hi, lo = state[:, offset:offset + len(firsts)]
     steps, coef = np.empty((B, len(firsts))), np.empty(len(firsts))
@@ -274,23 +270,17 @@ def _replay(group, n_maxes, starts, xs, first, state, events) -> Iterator[np.nda
     for g in group:
         start, q = starts[g], (starts[g] - 1) // B
         base = first[g] - offset
-        # The column's segments one after another, orders ascending.
-        f = steps[::-1, base:base + start // B + 2].T.ravel()
-        top = (start // B + 2) * B
-        f[q * B:start - 1] = f[top - (start - 1 - q * B):top]
-        f = f[:start + 1]
+        # Orders ascending: each segment's steps reversed, one after another.
+        f = np.empty(start + 1)
+        f[:q * B] = steps[::-1, base:base + q].T.ravel()
+        f[q * B:start - 1] = steps[:start - 1 - q * B, base + q][::-1]
         f[start - 1] = 1e-30
         f[start] = 0.0
         # The scalar descent rescales order n - 1 as it computes it at step n,
         # and every order it holds by then, n up, with it.
         for n in events[g]:
             f[n:] *= _RESCALE
-        # np.dot, not math.fsum as in _fsum_row: on a 2-vCPU Xeon it normalises
-        # a 2 391-term row in 102 us against 252-287 us.
-        norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
-        row = f[:n_maxes[g] + 1] / norm
-        row.setflags(write=False)
-        yield row
+        yield f
 
 
 def _fsum_row(n_max: int, x: float) -> list[float]:

@@ -1,3 +1,5 @@
+import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -15,7 +17,7 @@ import pytest
 from jband_sim import cli
 from jband_sim.config import parse_number
 from jband_sim.core import model_params
-from jband_sim.experiments import EXPERIMENTS, CsvTable, ExperimentSpec, run_experiment
+from jband_sim.experiments import _KINDS, EXPERIMENTS, CsvTable, ExperimentSpec, resolve, run_experiment
 from jband_sim.measures import (
     _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size)
 from jband_sim.multipartite import SusceptibilityParams, chi3_magnitude
@@ -417,6 +419,25 @@ def test_cli_run_calls_the_functions_set_on_the_module(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "fig4.svg").is_file()
 
 
+def test_cli_calls_leave_no_reference_cycles(tmp_path, capsys):
+    # Objects in reference cycles wait for the collector, so the memory a
+    # series of calls holds would move with the collector's timing.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = fig4\n", encoding="utf-8")
+    calls = [["list"], ["eval", "spano", "c=15", "b=0.5", "t_k=2"],
+             ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]]
+    for argv in calls:  # the first calls import what they use
+        assert cli.main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in calls:
+            assert cli.main(argv) == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+
+
 def test_fig5_and_eval_chi3_use_the_default_monomer(capsys):
     monomer = SusceptibilityParams()
     for N, _, over_N in run_experiment(ExperimentSpec("fig5")).rows:
@@ -438,6 +459,72 @@ EVALS = [
     ("entropy", "t=2", "N=100"), ("entropy_avg", "t=1e-9", "N=3"),
     ("survival", "t=2", "N=4001", "a=0.3", "b=0.2"), ("ipr", "t=0", "N=2"),
 ]
+
+
+# Every value each key of the contract tests takes, by its label.
+CONTRACT_VALUES = {v: v for v in ("0", "-1", "1e-320", "1e-200", "1e-8", "0.5", "2", "7", "1e8",
+                                  "1e21", "1e200", "1e308", "nan", "inf")}
+CONTRACT_VALUES["10^400"] = str(10**400)
+# The geometric measures still fail with a traceback at these (measure, key, value).
+_HUGE_N_TRACEBACKS = {(m, "N", v) for m in ("lambda_max", "geometric_entropy", "zeta1", "zeta2", "chi3")
+                      for v in ("1e308", "10^400")} | {("zeta1", "N", "1e21"), ("zeta2", "N", "1e21")}
+
+
+def _eval_contract_cases():
+    for measure, (required, optional, _) in cli.EVAL_MEASURES.items():
+        for key in f"{required} {optional}".split():
+            for label in CONTRACT_VALUES:
+                marks = ()
+                if (measure, key, label) in _HUGE_N_TRACEBACKS:
+                    marks = pytest.mark.xfail(strict=True, raises=(OverflowError, ZeroDivisionError))
+                yield pytest.param(measure, key, label, id=f"{measure}-{key}={label}", marks=marks)
+
+
+def _assert_exit_contract(code, out, err):
+    # 0 with what was asked for, or 1 / 2 with one message and nothing on stdout.
+    if code == cli.EXIT_OK:
+        assert err == ""
+    else:
+        prefix = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_DOMAIN: "domain error: "}[code]
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1, (code, err)
+
+
+@pytest.mark.parametrize("measure,key,label", _eval_contract_cases())
+def test_every_eval_key_keeps_the_exit_contract(measure, key, label, capsys):
+    # Each key of each measure, set alone on a valid call, prints one finite
+    # number or fails with a config or domain error; it never raises.
+    pairs = dict(pair.split("=") for pair in next(a for a in EVALS if a[0] == measure)[1:])
+    pairs[key] = CONTRACT_VALUES[label]
+    code = cli.main(["eval", measure, *(f"{k}={v}" for k, v in pairs.items())])
+    out, err = capsys.readouterr()
+    _assert_exit_contract(code, out, err)
+    if code == cli.EXIT_OK:
+        assert out.endswith("\n") and math.isfinite(float(out)), out
+
+
+def _run_contract_cases():
+    for name in ("fig1a", "fig1b", "fig3", "fig4", "fig5", "custom"):
+        plan = resolve(ExperimentSpec(name))
+        for key in (*(k for k in _KINDS[plan.kind][1] if k != plan.sweep.variable),
+                    "sweep_start", "sweep_stop", "sweep_step"):
+            yield name, key
+
+
+@pytest.mark.parametrize("name,key", _run_contract_cases())
+def test_every_run_override_keeps_the_exit_contract(name, key, tmp_path, capsys):
+    # The same values as overrides of each study kind: a run writes only
+    # finite cells or fails with a config or domain error; it never raises.
+    for i, value in enumerate(CONTRACT_VALUES.values()):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"experiment = {name}\n{key} = {value}\n", encoding="utf-8")
+        out_dir = tmp_path / str(i)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        _assert_exit_contract(code, out, err)
+        for path in out_dir.glob("*.csv"):
+            with path.open(encoding="utf-8", newline="") as f:
+                cells = [cell for row in list(csv.reader(f))[1:] for cell in row]
+            assert all(math.isfinite(float(cell)) for cell in cells), (path.name, value[:8])
 
 
 def test_no_eval_imports_numpy():

@@ -160,15 +160,16 @@ def test_point_occupation_matches_the_array_profile(t, p):
 
 def test_sweep_working_memory_is_bounded():
     # A t sweep at the largest window, with more distinct c t than one batched
-    # descent takes.  The descent keeps two checkpoint floats per column every
-    # _CHECKPOINT_STEPS steps of the longest descent, and a replay group holds
-    # at most three buffers of _REPLAY_FLOATS floats; a block at N = 4001 holds
-    # a few arrays of N floats.  The rest is the sweep's points and keys.  Rows
-    # kept for the whole sweep, or whole histories, would take several MiB.
+    # descent takes.  The descent keeps two checkpoint floats per column for
+    # each of the longest descent's segments, and a replay group holds at most
+    # three buffers of _CHECKPOINT_STEPS floats per segment for _BATCH_COLUMNS
+    # segments; a block at N = 4001 holds a few arrays of N floats.  The rest
+    # is the sweep's points and keys.  Rows kept for the whole sweep, or whole
+    # histories, would take several MiB.
     N = 4001
     longest = specfun.MAX_ORDER + math.ceil(1.5 * specfun.MAX_ARGUMENT) + specfun._ORDER_MARGIN
-    kernel = 8 * (2 * specfun._BATCH_COLUMNS * (longest // specfun._CHECKPOINT_STEPS + 2)
-                  + 3 * specfun._REPLAY_FLOATS)
+    B, W = specfun._CHECKPOINT_STEPS, specfun._BATCH_COLUMNS
+    kernel = 8 * (2 * W * ((longest - 1) // B + 1) + 3 * B * W)
     bound = kernel + 8 * 8 * N + 2**18
     points = [_check_point(0.005 * k, params(c=100.0, N=N)) for k in range(1, 301)]
     next(_occupation_blocks(points[:1]))  # numpy and its first-use allocations

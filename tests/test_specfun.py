@@ -230,19 +230,18 @@ ARGUMENTS = st.one_of(
 @example([(0, 0.0), (0, _SERIES_CUTOFF), (0, MAX_ARGUMENT)])
 # Small arguments at large orders rescale the descent many times.
 @example([(2000, 1e-8), (2000, 3.0), (1500, 1e-7), (2000, 1e-8), (300, 0.01), (2000, 1000.0)])
+# Starts n + 43: the seed segment supplies every count of orders, none included.
+@example([(n, 2.0) for n in range(32)])
 def test_batched_rows_equal_the_scalar_descent(keys):
     assert_rows_bit_exact(keys)
 
 
-@pytest.mark.parametrize("columns,steps,floats", [
-    (1, 8, 2**12), (3, 16, 2**12), (7, 32, 2**13), (5, _ORDER_MARGIN, 2**16),
-])
-def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, floats, monkeypatch):
+@pytest.mark.parametrize("columns,steps", [(1, 8), (3, 16), (7, 32), (5, _ORDER_MARGIN)])
+def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, monkeypatch):
     # Several batches and several replay groups per batch, for any checkpoint
-    # interval up to the shortest descent.
+    # interval up to the shortest descent, and columns longer than a group.
     monkeypatch.setattr(specfun, "_BATCH_COLUMNS", columns)
     monkeypatch.setattr(specfun, "_CHECKPOINT_STEPS", steps)
-    monkeypatch.setattr(specfun, "_REPLAY_FLOATS", floats)
     rng = random.Random(columns)
     keys = [(rng.randint(0, MAX_ORDER), min(10.0 ** rng.uniform(-9.0, 3.0), MAX_ARGUMENT))
             for _ in range(14)]
@@ -251,13 +250,12 @@ def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, float
 
 def test_batch_constants_fit_every_descent():
     # A checkpoint interval longer than the shortest descent would replay past
-    # order 0, and a replay buffer must hold the longest column's segments.
-    # A descent from start s runs s - 1 steps.
+    # order 0, and one replay group must hold the longest column's segments.
+    # A descent from start s runs s - 1 steps over (s - 1) // B + 1 segments.
     shortest = 0 + math.ceil(1.5 * _SERIES_CUTOFF) + _ORDER_MARGIN
     longest = MAX_ORDER + math.ceil(1.5 * MAX_ARGUMENT) + _ORDER_MARGIN
     assert specfun._CHECKPOINT_STEPS <= shortest - 1
-    assert (longest // specfun._CHECKPOINT_STEPS + 2) * specfun._CHECKPOINT_STEPS \
-        <= specfun._REPLAY_FLOATS
+    assert (longest - 1) // specfun._CHECKPOINT_STEPS + 1 <= specfun._BATCH_COLUMNS
 
 
 def test_one_key_calls_check_their_key():
