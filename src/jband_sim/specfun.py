@@ -50,8 +50,9 @@ MAX_ORDER = 2000
 MAX_ARGUMENT = 1000.0
 # Batched descents: a forward pass steps up to _BATCH_COLUMNS columns and keeps
 # their state every _CHECKPOINT_STEPS steps, no more than the shortest descent
-# takes; a replay group recomputes up to _BATCH_COLUMNS segments of that many
-# steps, which hold the longest column.
+# takes, so that no segment steps far past order 0; a replay group recomputes
+# up to _BATCH_COLUMNS segments of that many steps, which hold the longest
+# column.
 _BATCH_COLUMNS = 256
 _CHECKPOINT_STEPS = 32
 
@@ -127,38 +128,36 @@ def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
     The keys must have passed ``_check_row``, which is not run again.  Each
     row equals the one-key row bit for bit, but the descents of up to
     ``_BATCH_COLUMNS`` keys step together as numpy vectors: every key of a
-    batch that takes the descent is a column.  A forward pass steps all
-    columns together and keeps only each column's state every
-    ``_CHECKPOINT_STEPS`` steps, and the steps at which it was rescaled.
-    Replays then recompute the columns' histories from those checkpoints, a
-    group of consecutive columns at a time, as the rows are asked for.  The
-    working arrays stay within a size the module constants fix, whatever the
-    number of keys.
+    batch that takes the descent is a column, in key order, and all columns
+    start from their seeds at step 0.  A forward pass keeps only each
+    column's state every ``_CHECKPOINT_STEPS`` steps, and the steps at which
+    it was rescaled.  Replays then recompute the columns' histories from
+    those checkpoints, a group of consecutive columns at a time, as the rows
+    are asked for.  The working arrays stay within a size the module
+    constants fix, whatever the number of keys.
     """
     import numpy as np
 
+    B = _CHECKPOINT_STEPS
     keys = list(keys)
     for lo in range(0, len(keys), _BATCH_COLUMNS):
         batch = keys[lo:lo + _BATCH_COLUMNS]
-        # Columns by descending start, so those descending at any step are a prefix.
-        cols = sorted((j for j, (_, x) in enumerate(batch) if x >= _SERIES_CUTOFF),
-                      key=lambda j: -_start(*batch[j]))
-        if cols:
-            starts = [_start(*batch[j]) for j in cols]
-            xs = [batch[j][1] for j in cols]
-            # In key order, column p owns the replay segments from first[p] on,
-            # and a group takes columns while they own _BATCH_COLUMNS or fewer.
-            first = [0] * len(cols)
+        starts = [_start(n_max, x) for n_max, x in batch if x >= _SERIES_CUTOFF]
+        if starts:
+            xs = np.array([x for _, x in batch if x >= _SERIES_CUTOFF])
+            state, events = _forward(starts, xs)
+            # A group takes consecutive columns while they replay _BATCH_COLUMNS
+            # or fewer segments; a column of start s replays ceil((s - 1) / B).
             groups: list[list[int]] = []
-            total = 0
-            for p in sorted(range(len(cols)), key=cols.__getitem__):
-                first[p] = total
-                total += (starts[p] - 1) // _CHECKPOINT_STEPS + 1
-                if not groups or total - first[groups[-1][0]] > _BATCH_COLUMNS:
+            size = 0
+            for p, s in enumerate(starts):
+                segments = -(-(s - 1) // B)
+                if not groups or size + segments > _BATCH_COLUMNS:
                     groups.append([])
+                    size = 0
                 groups[-1].append(p)
-            state, events = _forward(starts, np.array(xs), first, total)
-            histories = chain.from_iterable(_replay(group, starts, xs, first, state, events)
+                size += segments
+            histories = chain.from_iterable(_replay(group, starts, xs, state, events)
                                             for group in groups)
         for n_max, x in batch:
             if x < _SERIES_CUTOFF:
@@ -174,91 +173,76 @@ def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
             yield row
 
 
-def _forward(starts: list[int], x: np.ndarray, first: list[int], total: int
-             ) -> tuple[np.ndarray, list[list[int]]]:
-    """Step the columns of descending ``starts`` together; keep their checkpoints.
+def _coefficients(n: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
+    """The factors ``(2.0 * n) / x`` of ``steps`` steps down from orders ``n``; 0 once n <= 0."""
+    import numpy as np
 
-    Each column is held at its seeds until the shared loop reaches its own
-    start, and sees exactly the scalar descent's operations: numpy rounds
-    each elementwise operation as Python floats do and fuses none.  Returns
-    the ``(hi, lo)`` each replay segment starts from, and the steps at which
-    each column was rescaled.  A column of start s owns the (s - 1) // B + 1
-    segments from ``first[p]`` on: segment q < (s - 1) // B starts before
-    step (q + 1) B, and the last one from the seeds.
+    coef = 2.0 * n - 2.0 * np.arange(steps)[:, None]  # 2 n, exact
+    np.maximum(coef, 0.0, out=coef)
+    return np.divide(coef, x, out=coef)
+
+
+def _forward(starts: list[int], x: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Step all columns from their seeds together; keep their checkpoints.
+
+    Step i of a column of start s computes order s - 2 - i with the scalar
+    descent's operations: numpy rounds each elementwise operation as Python
+    floats do and fuses none.  Past its last step the column steps on with
+    factor 0, which keeps its values within the rescale limit.  Returns the
+    ``(hi, lo)`` of every column before each B-th step, as ``state[:, q]``
+    before step qB, and the steps at which each column was rescaled.
     """
     import numpy as np
 
     B = _CHECKPOINT_STEPS
-    w = len(starts)
-    hi, lo, c = np.zeros(w), np.zeros(w), np.zeros(w)
-    segments = np.array(first)
-    state = np.zeros((2, total))
-    state[1, [f + (s - 1) // B for f, s in zip(first, starts)]] = 1e-30
-    events: list[list[int]] = [[] for _ in range(w)]
-    divide, multiply, subtract = np.divide, np.multiply, np.subtract
+    n = np.array(starts) - 1
+    steps = max(starts) - 1
+    state = np.empty((2, -(-steps // B), len(starts)))
+    hi, lo = np.zeros(len(starts)), np.full(len(starts), 1e-30)
+    events: list[list[int]] = [[] for _ in starts]
     limit = _RESCALE_LIMIT * _RESCALE_LIMIT
-    k = 0  # columns [0, k) have started
-    for n in range(starts[0] - 1, 0, -1):
-        if k < w and starts[k] > n:
-            k0 = k
-            while k < w and starts[k] > n:
-                k += 1
-            hi[k0:k] = 0.0
-            lo[k0:k] = 1e-30
-            xk, ck, hk, lk = x[:k], c[:k], hi[:k], lo[:k]
-        if n % B == 0:
-            at = segments[:k] + (n // B - 1)
-            state[0, at] = hk
-            state[1, at] = lk
-        divide(2.0 * n, xk, ck)
-        multiply(ck, lk, ck)
-        subtract(ck, hk, hk)
-        hi, lo, hk, lk = lo, hi, lk, hk
-        # No |v| passes the limit unless v . v does, and that costs one call.
-        if lk.dot(lk) >= limit:
-            for p in (np.abs(lk, ck) > _RESCALE_LIMIT).nonzero()[0].tolist():
-                lk[p] *= _RESCALE
-                hk[p] *= _RESCALE
-                events[p].append(n)
+    for q in range(state.shape[1]):
+        state[0, q], state[1, q] = hi, lo
+        # Each row of factors becomes the values of its step.
+        for i, v in enumerate(_coefficients(n - q * B, x, min(B, steps - q * B)), q * B):
+            np.multiply(v, lo, v)
+            np.subtract(v, hi, v)
+            hi, lo = lo, v
+            # No |v| passes the limit unless v . v does, and that costs one call.
+            if v.dot(v) >= limit:
+                for p in (np.abs(v) > _RESCALE_LIMIT).nonzero()[0].tolist():
+                    v[p] *= _RESCALE
+                    hi[p] *= _RESCALE
+                    events[p].append(i)
     return state, events
 
 
-def _replay(group, starts, xs, first, state, events) -> Iterator[np.ndarray]:
+def _replay(group, starts, x, state, events) -> Iterator[np.ndarray]:
     """The unnormalised histories f[0 .. s] of the columns of one group, in order.
 
-    All segments run their ``_CHECKPOINT_STEPS`` steps in parallel.  A column
-    of start s owns Q + 1 consecutive segments, Q = (s - 1) // B: the first Q
-    replay orders 0 .. QB - 1 from its checkpoints, and the last runs from
-    its seeds and supplies orders QB .. s - 2, the first (s - 1) % B of its
-    steps.  Each history is a new contiguous array.
+    A column of start s replays its first ceil((s - 1) / B) segments from
+    their checkpoints, all segments of the group in parallel, and each
+    rescale event in the one segment that holds its step.  Each history is a
+    new contiguous array.
     """
     import numpy as np
 
     B = _CHECKPOINT_STEPS
-    offset = first[group[0]]
-    firsts: list[int] = []  # per segment: the step it starts with, and x
-    x: list[float] = []
-    rescaled: dict[int, list[int]] = {}  # step -> segments rescaled at it
-    for g in group:
-        start, q = starts[g], (starts[g] - 1) // B
-        base = first[g] - offset
-        firsts += [*range(B, (q + 1) * B, B), start - 1]
-        x += [xs[g]] * (q + 1)
-        # The seed segment steps on past order QB; its rescales there keep
-        # those discarded values finite.
-        for n in events[g]:
-            if n <= q * B:
-                rescaled.setdefault(-n % B, []).append(base + (n - 1) // B)
-            if n > start - 1 - B:
-                rescaled.setdefault(start - 1 - n, []).append(base + q)
-    two_n, x = 2.0 * np.array(firsts, dtype=float), np.array(x)
-    hi, lo = state[:, offset:offset + len(firsts)]
-    steps, coef = np.empty((B, len(firsts))), np.empty(len(firsts))
-    for i in range(B):
-        v = steps[i]
-        np.subtract(two_n, 2.0 * i, coef)  # 2 n, exact
-        np.divide(coef, x, coef)
-        np.multiply(coef, lo, v)
+    cols: list[int] = []  # per segment: its column and its index
+    segs: list[int] = []
+    rescaled: dict[int, list[int]] = {}  # step in segment -> segments rescaled at it
+    for p in group:
+        for i in events[p]:
+            rescaled.setdefault(i % B, []).append(len(cols) + i // B)
+        segments = -(-(starts[p] - 1) // B)
+        cols += [p] * segments
+        segs += range(segments)
+    column, segment = np.array(cols), np.array(segs)
+    hi, lo = state[:, segment, column]
+    # Each row of factors becomes the values of its step.
+    values = _coefficients(np.array(starts)[column] - 1 - B * segment, x[column], B)
+    for i, v in enumerate(values):
+        np.multiply(v, lo, v)
         np.subtract(v, hi, v)
         hi = lo
         if i in rescaled:
@@ -267,19 +251,19 @@ def _replay(group, starts, xs, first, state, events) -> Iterator[np.ndarray]:
                 v[r] *= _RESCALE
                 hi[r] *= _RESCALE
         lo = v
-    for g in group:
-        start, q = starts[g], (starts[g] - 1) // B
-        base = first[g] - offset
-        # Orders ascending: each segment's steps reversed, one after another.
-        f = np.empty(start + 1)
-        f[:q * B] = steps[::-1, base:base + q].T.ravel()
-        f[q * B:start - 1] = steps[:start - 1 - q * B, base + q][::-1]
-        f[start - 1] = 1e-30
-        f[start] = 0.0
-        # The scalar descent rescales order n - 1 as it computes it at step n,
-        # and every order it holds by then, n up, with it.
-        for n in events[g]:
-            f[n:] *= _RESCALE
+    at = 0
+    for p in group:
+        s = starts[p]
+        segments = -(-(s - 1) // B)
+        # Orders ascending: the column's steps, one segment after another, reversed.
+        f = np.empty(s + 1)
+        f[s - 2::-1] = values[:, at:at + segments].T.ravel()[:s - 1]
+        f[s - 1:] = 1e-30, 0.0
+        # The scalar descent rescales order n - 1 as it computes it, at
+        # n = s - 1 - i, and every order it holds by then, n up, with it.
+        for i in events[p]:
+            f[s - 1 - i:] *= _RESCALE
+        at += segments
         yield f
 
 

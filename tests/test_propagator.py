@@ -161,11 +161,11 @@ def test_point_occupation_matches_the_array_profile(t, p):
 def test_sweep_working_memory_is_bounded():
     # A t sweep at the largest window, with more distinct c t than one batched
     # descent takes.  The descent keeps two checkpoint floats per column for
-    # each of the longest descent's segments, and a replay group holds at most
-    # three buffers of _CHECKPOINT_STEPS floats per segment for _BATCH_COLUMNS
-    # segments; a block at N = 4001 holds a few arrays of N floats.  The rest
-    # is the sweep's points and keys.  Rows kept for the whole sweep, or whole
-    # histories, would take several MiB.
+    # each of the longest descent's segments, and a replay group's steps and
+    # temporaries take at most three buffers of _CHECKPOINT_STEPS floats per
+    # segment for _BATCH_COLUMNS segments; a block at N = 4001 holds a few
+    # arrays of N floats.  The rest is the sweep's points and keys.  Rows kept
+    # for the whole sweep, or whole histories, would take several MiB.
     N = 4001
     longest = specfun.MAX_ORDER + math.ceil(1.5 * specfun.MAX_ARGUMENT) + specfun._ORDER_MARGIN
     B, W = specfun._CHECKPOINT_STEPS, specfun._BATCH_COLUMNS

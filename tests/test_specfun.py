@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jband_sim import specfun
+from jband_sim import propagator, specfun
+from jband_sim.experiments import EXPERIMENTS, ExperimentSpec, SweepAxis, run_experiment_outputs
 from jband_sim.specfun import (
     _ORDER_MARGIN,
     _SERIES_CUTOFF,
@@ -230,16 +231,18 @@ ARGUMENTS = st.one_of(
 @example([(0, 0.0), (0, _SERIES_CUTOFF), (0, MAX_ARGUMENT)])
 # Small arguments at large orders rescale the descent many times.
 @example([(2000, 1e-8), (2000, 3.0), (1500, 1e-7), (2000, 1e-8), (300, 0.01), (2000, 1000.0)])
-# Starts n + 43: the seed segment supplies every count of orders, none included.
+# Starts n + 43: a column's last segment steps 1 to 32 orders before it passes order 0.
 @example([(n, 2.0) for n in range(32)])
 def test_batched_rows_equal_the_scalar_descent(keys):
     assert_rows_bit_exact(keys)
 
 
-@pytest.mark.parametrize("columns,steps", [(1, 8), (3, 16), (7, 32), (5, _ORDER_MARGIN)])
+@pytest.mark.parametrize("columns,steps", [(1, 8), (3, 16), (7, 32), (5, _ORDER_MARGIN),
+                                           (4, 100), (3, 200)])
 def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, monkeypatch):
-    # Several batches and several replay groups per batch, for any checkpoint
-    # interval up to the shortest descent, and columns longer than a group.
+    # Several batches and several replay groups per batch, columns longer than
+    # a group, and checkpoint intervals longer than the shortest descent,
+    # whose one segment steps on past order 0.
     monkeypatch.setattr(specfun, "_BATCH_COLUMNS", columns)
     monkeypatch.setattr(specfun, "_CHECKPOINT_STEPS", steps)
     rng = random.Random(columns)
@@ -249,13 +252,36 @@ def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, monke
 
 
 def test_batch_constants_fit_every_descent():
-    # A checkpoint interval longer than the shortest descent would replay past
-    # order 0, and one replay group must hold the longest column's segments.
-    # A descent from start s runs s - 1 steps over (s - 1) // B + 1 segments.
+    # Rows are exact at any constants; these bound the work.  A checkpoint
+    # interval no longer than the shortest descent wastes no steps past
+    # order 0, and one replay group holds the longest column's segments.  A
+    # descent from start s runs s - 1 steps over ceil((s - 1) / B) segments,
+    # never more than (s - 1) // B + 1.
     shortest = 0 + math.ceil(1.5 * _SERIES_CUTOFF) + _ORDER_MARGIN
     longest = MAX_ORDER + math.ceil(1.5 * MAX_ARGUMENT) + _ORDER_MARGIN
     assert specfun._CHECKPOINT_STEPS <= shortest - 1
     assert (longest - 1) // specfun._CHECKPOINT_STEPS + 1 <= specfun._BATCH_COLUMNS
+
+
+def test_study_batches_equal_the_scalar_descent(monkeypatch):
+    # Full-width batches at the default constants, on the keys the sweeps
+    # really hand over: the ten bundled studies (fig1a's 603 keys and fig2c's
+    # 451 take several batches) and two long-row custom sweeps.
+    calls = []
+
+    def rows(keys):
+        calls.append(list(keys))
+        return bessel_j_rows(calls[-1])
+
+    monkeypatch.setattr(propagator, "bessel_j_rows", rows)
+    specs = [ExperimentSpec(name) for name in sorted(EXPERIMENTS.keys() - {"custom"})]
+    specs += [ExperimentSpec("custom", {"N": 2000, "c": 60.0}, SweepAxis("t", 0.0, 15.0, 0.075)),
+              ExperimentSpec("custom", {"N": 1000, "t": 10.0}, SweepAxis("c", 1.0, 90.0, 0.47))]
+    for spec in specs:
+        run_experiment_outputs(spec)
+    assert max(map(len, calls)) > 2 * specfun._BATCH_COLUMNS
+    for keys in calls:
+        assert_rows_bit_exact(keys)
 
 
 def test_one_key_calls_check_their_key():
