@@ -122,7 +122,7 @@ def _primary_path(spec, out_flag: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    text = Path(args.config).read_text(encoding="utf-8-sig")
     spec = parse_config(text)
     outputs = _cli.run_experiment_outputs(spec)
     primary = _primary_path(spec, args.out)

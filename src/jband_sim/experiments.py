@@ -105,13 +105,15 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 
 
 def sweep_grid(axis: SweepAxis) -> list[float]:
-    """The inclusive grid of a sweep axis, rounded to integers for N and M."""
+    """The inclusive grid of a sweep axis, as integers for N and M."""
     if not (math.isfinite(axis.step) and axis.step > 0):
         raise ValueError("sweep step must be > 0")
     if not (axis.start < axis.stop):
         raise ValueError("sweep start must be < stop")
     if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
         raise ValueError("sweep start and stop must be finite")
+    if axis.variable in INT_KEYS and (axis.start % 1 or axis.step % 1):
+        raise ValueError(f"a sweep over {axis.variable} needs an integer start and step")
     # Compared as a float, so a quotient that overflows to inf is rejected
     # before int() sees it, and no grid is allocated past the limit.
     steps = (axis.stop - axis.start) / axis.step + 1e-9
@@ -119,7 +121,7 @@ def sweep_grid(axis: SweepAxis) -> list[float]:
         raise ValueError(f"sweep must have at most {MAX_SWEEP_POINTS} points")
     count = int(math.floor(steps)) + 1
     grid = [axis.start + i * axis.step for i in range(count)]
-    return [int(round(v)) for v in grid] if axis.variable in INT_KEYS else grid
+    return [int(v) for v in grid] if axis.variable in INT_KEYS else grid
 
 
 def resolve(spec: ExperimentSpec) -> ExperimentDef:

@@ -40,10 +40,10 @@ def _atomic_write(path: Path | str, text: str) -> Path:
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
     return path
 
 

@@ -28,7 +28,6 @@ for it once and share it themselves.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import check_integer
@@ -48,11 +47,11 @@ _SERIES_CUTOFF = 1e-8
 #: before the recurrence allocates its (order + 1.5 x)-sized work array.
 MAX_ORDER = 2000
 MAX_ARGUMENT = 1000.0
-# Batched descents: a forward pass steps up to _BATCH_COLUMNS columns and keeps
-# their state every _CHECKPOINT_STEPS steps, no more than the shortest descent
-# takes, so that no segment steps far past order 0; a replay group recomputes
-# up to _BATCH_COLUMNS segments of that many steps, which hold the longest
-# column.
+# Batched descents: a forward pass steps up to _BATCH_COLUMNS columns in whole
+# segments of _CHECKPOINT_STEPS steps, no more than the shortest descent takes,
+# so that no segment steps far past order 0, and keeps their state before each
+# segment; a replay group recomputes up to _BATCH_COLUMNS segments, which hold
+# the longest column.
 _BATCH_COLUMNS = 256
 _CHECKPOINT_STEPS = 32
 
@@ -128,37 +127,18 @@ def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
     The keys must have passed ``_check_row``, which is not run again.  Each
     row equals the one-key row bit for bit, but the descents of up to
     ``_BATCH_COLUMNS`` keys step together as numpy vectors: every key of a
-    batch that takes the descent is a column, in key order, and all columns
-    start from their seeds at step 0.  A forward pass keeps only each
-    column's state every ``_CHECKPOINT_STEPS`` steps, and the steps at which
-    it was rescaled.  Replays then recompute the columns' histories from
-    those checkpoints, a group of consecutive columns at a time, as the rows
-    are asked for.  The working arrays stay within a size the module
-    constants fix, whatever the number of keys.
+    batch that takes the descent is a column of ``_histories``, in key
+    order, and its row is its history normalised.  The working arrays stay
+    within a size the module constants fix, whatever the number of keys.
     """
     import numpy as np
 
-    B = _CHECKPOINT_STEPS
     keys = list(keys)
     for lo in range(0, len(keys), _BATCH_COLUMNS):
         batch = keys[lo:lo + _BATCH_COLUMNS]
-        starts = [_start(n_max, x) for n_max, x in batch if x >= _SERIES_CUTOFF]
-        if starts:
-            xs = np.array([x for _, x in batch if x >= _SERIES_CUTOFF])
-            state, events = _forward(starts, xs)
-            # A group takes consecutive columns while they replay _BATCH_COLUMNS
-            # or fewer segments; a column of start s replays ceil((s - 1) / B).
-            groups: list[list[int]] = []
-            size = 0
-            for p, s in enumerate(starts):
-                segments = -(-(s - 1) // B)
-                if not groups or size + segments > _BATCH_COLUMNS:
-                    groups.append([])
-                    size = 0
-                groups[-1].append(p)
-                size += segments
-            histories = chain.from_iterable(_replay(group, starts, xs, state, events)
-                                            for group in groups)
+        # A generator: a batch without descent keys never starts it.
+        histories = _histories([_start(n_max, x) for n_max, x in batch if x >= _SERIES_CUTOFF],
+                               np.array([x for _, x in batch if x >= _SERIES_CUTOFF]))
         for n_max, x in batch:
             if x < _SERIES_CUTOFF:
                 row = np.array(_series_row(n_max, x))
@@ -182,29 +162,37 @@ def _coefficients(n: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
     return np.divide(coef, x, out=coef)
 
 
-def _forward(starts: list[int], x: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    """Step all columns from their seeds together; keep their checkpoints.
+def _histories(starts: list[int], x: np.ndarray) -> Iterator[np.ndarray]:
+    """The unnormalised histories f[0 .. s] of columns of starts ``starts``, in order.
 
     Step i of a column of start s computes order s - 2 - i with the scalar
     descent's operations: numpy rounds each elementwise operation as Python
-    floats do and fuses none.  Past its last step the column steps on with
-    factor 0, which keeps its values within the rescale limit.  Returns the
-    ``(hi, lo)`` of every column before each B-th step, as ``state[:, q]``
-    before step qB, and the steps at which each column was rescaled.
+    floats do and fuses none.  A forward pass steps all columns from their
+    seeds together, in segments of B = ``_CHECKPOINT_STEPS`` steps, until
+    the longest column's last segment ends; past order 0 a column steps on
+    with factor 0, which keeps its values within the rescale limit.  It
+    keeps only every column's ``(hi, lo)`` before each segment, and the
+    steps at which each column was rescaled.  Replays then recompute the
+    histories a group of consecutive columns at a time, as many as hold
+    ``_BATCH_COLUMNS`` segments or fewer, and at least one: all segments of
+    a group in parallel, each from its checkpoint, with each rescale event
+    in the one segment that holds its step.  A replay builds its step table only once the forward pass's
+    last table, or the previous group's, has gone.  Each history is a new
+    contiguous array.
     """
     import numpy as np
 
     B = _CHECKPOINT_STEPS
+    segments = [-(-(s - 1) // B) for s in starts]  # a column of start s takes s - 1 steps
     n = np.array(starts) - 1
-    steps = max(starts) - 1
-    state = np.empty((2, -(-steps // B), len(starts)))
+    state = np.empty((2, max(segments), len(starts)))
     hi, lo = np.zeros(len(starts)), np.full(len(starts), 1e-30)
     events: list[list[int]] = [[] for _ in starts]
     limit = _RESCALE_LIMIT * _RESCALE_LIMIT
     for q in range(state.shape[1]):
         state[0, q], state[1, q] = hi, lo
         # Each row of factors becomes the values of its step.
-        for i, v in enumerate(_coefficients(n - q * B, x, min(B, steps - q * B)), q * B):
+        for i, v in enumerate(_coefficients(n - q * B, x, B), q * B):
             np.multiply(v, lo, v)
             np.subtract(v, hi, v)
             hi, lo = lo, v
@@ -214,57 +202,46 @@ def _forward(starts: list[int], x: np.ndarray) -> tuple[np.ndarray, list[list[in
                     v[p] *= _RESCALE
                     hi[p] *= _RESCALE
                     events[p].append(i)
-    return state, events
-
-
-def _replay(group, starts, x, state, events) -> Iterator[np.ndarray]:
-    """The unnormalised histories f[0 .. s] of the columns of one group, in order.
-
-    A column of start s replays its first ceil((s - 1) / B) segments from
-    their checkpoints, all segments of the group in parallel, and each
-    rescale event in the one segment that holds its step.  Each history is a
-    new contiguous array.
-    """
-    import numpy as np
-
-    B = _CHECKPOINT_STEPS
-    cols: list[int] = []  # per segment: its column and its index
-    segs: list[int] = []
-    rescaled: dict[int, list[int]] = {}  # step in segment -> segments rescaled at it
-    for p in group:
-        for i in events[p]:
-            rescaled.setdefault(i % B, []).append(len(cols) + i // B)
-        segments = -(-(starts[p] - 1) // B)
-        cols += [p] * segments
-        segs += range(segments)
-    column, segment = np.array(cols), np.array(segs)
-    hi, lo = state[:, segment, column]
-    # Each row of factors becomes the values of its step.
-    values = _coefficients(np.array(starts)[column] - 1 - B * segment, x[column], B)
-    for i, v in enumerate(values):
-        np.multiply(v, lo, v)
-        np.subtract(v, hi, v)
-        hi = lo
-        if i in rescaled:
-            hi = lo.copy()
-            for r in rescaled[i]:
-                v[r] *= _RESCALE
-                hi[r] *= _RESCALE
-        lo = v
-    at = 0
-    for p in group:
-        s = starts[p]
-        segments = -(-(s - 1) // B)
-        # Orders ascending: the column's steps, one segment after another, reversed.
-        f = np.empty(s + 1)
-        f[s - 2::-1] = values[:, at:at + segments].T.ravel()[:s - 1]
-        f[s - 1:] = 1e-30, 0.0
-        # The scalar descent rescales order n - 1 as it computes it, at
-        # n = s - 1 - i, and every order it holds by then, n up, with it.
-        for i in events[p]:
-            f[s - 1 - i:] *= _RESCALE
-        at += segments
-        yield f
+    del hi, lo, v  # the last table goes before the replays build theirs
+    end = 0  # the first column no group has taken
+    while end < len(starts):
+        group: list[tuple[int, int]] = []  # its columns, each with its first lane
+        cols: list[int] = []  # per lane: its column and its segment
+        segs: list[int] = []
+        rescaled: dict[int, list[int]] = {}  # step in segment -> lanes rescaled at it
+        while end < len(starts) and (not cols or len(cols) + segments[end] <= _BATCH_COLUMNS):
+            group.append((end, len(cols)))
+            for i in events[end]:
+                rescaled.setdefault(i % B, []).append(len(cols) + i // B)
+            cols += [end] * segments[end]
+            segs += range(segments[end])
+            end += 1
+        column, segment = np.array(cols), np.array(segs)
+        hi, lo = state[:, segment, column]
+        # Each row of factors becomes the values of its step.
+        values = _coefficients(n[column] - B * segment, x[column], B)
+        for i, v in enumerate(values):
+            np.multiply(v, lo, v)
+            np.subtract(v, hi, v)
+            hi = lo
+            if i in rescaled:
+                hi = lo.copy()
+                for r in rescaled[i]:
+                    v[r] *= _RESCALE
+                    hi[r] *= _RESCALE
+            lo = v
+        for p, at in group:
+            s = starts[p]
+            # Orders ascending: the column's steps, one segment after another, reversed.
+            f = np.empty(s + 1)
+            f[s - 2::-1] = values[:, at:at + segments[p]].T.ravel()[:s - 1]
+            f[s - 1:] = 1e-30, 0.0
+            # The scalar descent rescales order n - 1 as it computes it, at
+            # n = s - 1 - i, and every order it holds by then, n up, with it.
+            for i in events[p]:
+                f[s - 1 - i:] *= _RESCALE
+            yield f
+        del values, hi, lo, v  # before the next group builds its table
 
 
 def _fsum_row(n_max: int, x: float) -> list[float]:

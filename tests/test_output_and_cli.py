@@ -128,9 +128,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "experiment = fig1b\nt = -1\n")
     assert cli.main(["run", "--config", str(cfg)]) == 1
     assert "config error: t must be" in capsys.readouterr().err
-    # Non-finite sweep bounds, and a grid past the point limit (here one whose
-    # point count overflows to inf), are config errors, not tracebacks.
+    # Non-finite sweep bounds, a grid past the point limit (here one whose
+    # point count overflows to inf) and a fractional N sweep are config
+    # errors, not tracebacks or rounded grids.
     for text, message in [
+        ("experiment = fig4\nsweep_start = 4\nsweep_stop = 6\nsweep_step = 0.5\n",
+         "a sweep over N needs an integer start and step"),
+        ("experiment = fig4\nsweep_start = 4.5\nsweep_stop = 6\n",
+         "a sweep over N needs an integer start and step"),
         ("experiment = custom\nsweep_stop = inf\n", "sweep start and stop must be finite"),
         ("experiment = fig1b\nsweep_start = -inf\n", "sweep start and stop must be finite"),
         ("experiment = custom\nsweep_stop = 1e300\nsweep_step = 1e-10\n",
@@ -227,6 +232,25 @@ def test_bundled_studies_match_reference_digests(tmp_path, capsys, monkeypatch):
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_cli_failed_replace_leaves_no_temp_file(tmp_path, capsys):
+    # The temporary file is written, but a directory holds the target's name.
+    cfg = write_config(tmp_path, "experiment = fig4\n")
+    (tmp_path / "out" / "fig4.csv").mkdir(parents=True)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.tmp"))
+
+
+def test_config_with_a_byte_order_mark_runs(tmp_path):
+    outputs = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(bom + b"experiment = fig4\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "fig4.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_list_names_every_preset(capsys):

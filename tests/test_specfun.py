@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -263,10 +264,15 @@ def test_batch_constants_fit_every_descent():
     assert (longest - 1) // specfun._CHECKPOINT_STEPS + 1 <= specfun._BATCH_COLUMNS
 
 
-def test_study_batches_equal_the_scalar_descent(monkeypatch):
-    # Full-width batches at the default constants, on the keys the sweeps
-    # really hand over: the ten bundled studies (fig1a's 603 keys and fig2c's
-    # 451 take several batches) and two long-row custom sweeps.
+# Long-row custom sweeps shaped like the benchmark's wide_window workload.
+WIDE_WINDOW_SPECS = [
+    ExperimentSpec("custom", {"N": 2000, "c": 60.0}, SweepAxis("t", 0.0, 15.0, 0.075)),
+    ExperimentSpec("custom", {"N": 1000, "t": 10.0}, SweepAxis("c", 1.0, 90.0, 0.47)),
+]
+
+
+def study_keys(specs, monkeypatch):
+    """The keys of every ``bessel_j_rows`` call the studies ``specs`` make."""
     calls = []
 
     def rows(keys):
@@ -274,14 +280,56 @@ def test_study_batches_equal_the_scalar_descent(monkeypatch):
         return bessel_j_rows(calls[-1])
 
     monkeypatch.setattr(propagator, "bessel_j_rows", rows)
-    specs = [ExperimentSpec(name) for name in sorted(EXPERIMENTS.keys() - {"custom"})]
-    specs += [ExperimentSpec("custom", {"N": 2000, "c": 60.0}, SweepAxis("t", 0.0, 15.0, 0.075)),
-              ExperimentSpec("custom", {"N": 1000, "t": 10.0}, SweepAxis("c", 1.0, 90.0, 0.47))]
     for spec in specs:
         run_experiment_outputs(spec)
+    return calls
+
+
+def test_study_batches_equal_the_scalar_descent(monkeypatch):
+    # Full-width batches at the default constants, on the keys the sweeps
+    # really hand over: the ten bundled studies (fig1a's 603 keys and fig2c's
+    # 451 take several batches) and two long-row custom sweeps.
+    specs = [ExperimentSpec(name) for name in sorted(EXPERIMENTS.keys() - {"custom"})]
+    calls = study_keys(specs + WIDE_WINDOW_SPECS, monkeypatch)
     assert max(map(len, calls)) > 2 * specfun._BATCH_COLUMNS
     for keys in calls:
         assert_rows_bit_exact(keys)
+
+
+def test_replay_groups_fill_the_batch_width(monkeypatch):
+    # Every step table has at most _BATCH_COLUMNS lanes.  After a batch's
+    # forward tables, one per segment of its longest column, each replay
+    # table takes consecutive columns' segments and closes only when the
+    # next column's would not fit.  Closing early keeps the bits, so only
+    # this test sees it.
+    W, B = specfun._BATCH_COLUMNS, specfun._CHECKPOINT_STEPS
+    widths, widest = [], 0
+    coefficients = specfun._coefficients
+
+    def table(n, x, steps):
+        widths.append(len(n))
+        return coefficients(n, x, steps)
+
+    calls = study_keys(WIDE_WINDOW_SPECS, monkeypatch)
+    monkeypatch.setattr(specfun, "_coefficients", table)
+    for keys in calls:
+        for lo in range(0, len(keys), W):
+            batch = keys[lo:lo + W]
+            segments = [-(-(specfun._start(n, x) - 1) // B) for n, x in batch
+                        if x >= _SERIES_CUTOFF]
+            widths.clear()
+            list(bessel_j_rows(batch))
+            forward, replays = widths[:max(segments)], widths[max(segments):]
+            assert forward == [len(segments)] * max(segments)
+            ends = list(itertools.accumulate(segments))
+            at = 0
+            for width in replays:
+                p = ends.index(at + width)  # a group ends at a column's end
+                assert width <= W and (p + 1 == len(segments) or width + segments[p + 1] > W)
+                at += width
+            assert at == ends[-1]
+            widest = max(widest, *widths)
+    assert widest == W
 
 
 def test_one_key_calls_check_their_key():
