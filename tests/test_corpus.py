@@ -1,7 +1,10 @@
-"""Behaviour corpus: SHA-256 digests of outputs beyond the ten bundled studies.
+"""Behaviour corpus: SHA-256 digests of every output shape a user sees.
 
-The bundled studies are pinned by ``bench/reference_digests.json``.  This
-module pins the shapes around them: ``eval`` of every measure (the benchmark's
+The ``bundled`` case holds the 34 files of the ten bundled studies, as
+``jband-sim run --svg`` writes them; ``test_output_and_cli.py``'s
+``test_bundled_studies_match_reference_digests`` checks that both writers,
+the CLI and ``scripts/run_all_figures.py``, reproduce it.  The other cases
+pin the shapes around them: ``eval`` of every measure (the benchmark's
 ``cli_eval`` rounds of seeds 1-3 among them), ``jband-sim list``, error
 messages with their exit codes, overridden presets, ``custom`` sweeps over
 every model parameter and over ``M``, and the long-row ``wide_window`` tables
@@ -9,7 +12,8 @@ of seeds 1 and 7.  Everything runs in process.  Each case maps entry names to
 digests of the bytes a user sees: a CSV or SVG file, or the exit code,
 standard output and standard error of one CLI call.
 
-After an intended output change, remake the digest file with
+After an intended output change, bundled studies included, remake the
+digest file with
 
     PYTHONPATH=src python tests/test_corpus.py --write
 
@@ -30,7 +34,7 @@ from pathlib import Path
 import pytest
 
 from jband_sim import cli
-from jband_sim.experiments import ExperimentSpec, SweepAxis, run_experiment_outputs
+from jband_sim.experiments import EXPERIMENTS, ExperimentSpec, SweepAxis, run_experiment_outputs
 from jband_sim.output import emit_svg, write_csv
 
 DIGESTS = Path(__file__).with_name("corpus_digests.json")
@@ -222,6 +226,14 @@ def _preset(name: str, out: Path) -> dict[str, str]:
     return {"cli": _sha(log), **_files(out / "out")}
 
 
+def _bundled(out: Path) -> dict[str, str]:
+    for name in EXPERIMENTS.keys() - {"custom"}:
+        path = out / f"{name}.cfg"
+        path.write_text(f"experiment = {name}\n", encoding="utf-8")
+        _cli(["run", "--config", str(path), "--out", str(out / "out"), "--svg"], out)
+    return _files(out / "out")
+
+
 def _custom(name: str, out: Path) -> dict[str, str]:
     params, sweep = CUSTOM[name]
     tables = run_experiment_outputs(ExperimentSpec("custom", params, SweepAxis(*sweep)))
@@ -233,6 +245,7 @@ def _custom(name: str, out: Path) -> dict[str, str]:
 
 
 CASES = {
+    "bundled": _bundled,
     "list": lambda out: {"list": _sha(_cli(["list"], out))},
     **{f"eval_seed{seed}": lambda out, s=seed: _evals(CLI_EVAL_ROUNDS[s], out)
        for seed in CLI_EVAL_ROUNDS},
@@ -251,7 +264,8 @@ def test_corpus_covers_every_case():
     assert sorted(_stored()) == sorted(CASES)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+# test_bundled_studies_match_reference_digests checks the bundled case with both writers.
+@pytest.mark.parametrize("case", sorted(CASES.keys() - {"bundled"}))
 def test_outputs_match_corpus(case, tmp_path):
     assert CASES[case](tmp_path) == _stored()[case]
 

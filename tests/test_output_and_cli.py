@@ -86,7 +86,7 @@ def test_emit_svg_writes_file(tmp_path):
 
 
 ROOT = Path(__file__).resolve().parents[1]
-REFERENCE_DIGESTS = ROOT / "bench" / "reference_digests.json"
+REFERENCE_DIGESTS = ROOT / "tests" / "corpus_digests.json"
 RUN_ALL_FIGURES = ROOT / "scripts" / "run_all_figures.py"
 
 
@@ -217,16 +217,22 @@ def write_bundled_with_script(out, tmp_path, monkeypatch):
 
 
 def test_bundled_studies_match_reference_digests(tmp_path, capsys, monkeypatch):
-    # The recorded SHA-256 of every bundled study's CSV and SVG defines "same
-    # behaviour"; the file is only read here.  Both writers of the bundled
+    # The recorded SHA-256 of every bundled study's CSV and SVG, the corpus's
+    # bundled case, defines "same behaviour".  Both writers of the bundled
     # outputs, the CLI and scripts/run_all_figures.py, must reproduce it.
-    reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["files"]
+    reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["bundled"]
     assert len(reference) == 34
     for writer in (write_bundled_with_cli, write_bundled_with_script):
         out = tmp_path / writer.__name__
         writer(out, tmp_path, monkeypatch)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == reference, writer.__name__
+
+
+def test_bundled_digests_equal_the_benchmark_copy():
+    # The benchmark reports its own copy of the bundled digests as information.
+    bench = json.loads((ROOT / "bench" / "reference_digests.json").read_text(encoding="utf-8"))
+    assert json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["bundled"] == bench["files"]
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
