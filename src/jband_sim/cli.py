@@ -122,7 +122,10 @@ def _primary_path(spec, out_flag: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(args.config).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as a domain error
+        raise ConfigError(f"configuration file is not UTF-8: {exc}") from None
     spec = parse_config(text)
     outputs = _cli.run_experiment_outputs(spec)
     primary = _primary_path(spec, args.out)

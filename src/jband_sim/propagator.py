@@ -14,8 +14,9 @@ Temperature does not enter the propagator.
 ``_check_point`` checks a point and returns its profile inputs: N, c t,
 exp(-a^2) and exp(-b^2 t).  A sweep evaluates them in blocks, the profiles
 of consecutive points of one N, ordered by c t, as the rows of one array;
-one batched descent per sweep yields their Bessel rows, once per N and c t,
-and a point's values do not depend on the blocking.  ``occupation_profile``
+one batched call per sweep yields their Bessel rows, once per N and c t,
+from one descent per c t, and a point's values do not depend on the
+blocking.  ``occupation_profile``
 builds one profile from the same inputs as Python floats and never loads
 numpy; it agrees with the block path to about 1e-14 relative.
 
@@ -100,7 +101,7 @@ def _occupation_blocks(points: Sequence[tuple[int, float, float, float]]) -> Ite
 
     Each block holds the profiles of the next points of one ``N``, at most
     ``_BLOCK_ELEMENTS // N`` of them (at least one), one per row.  One batched
-    descent yields the Bessel rows of all the points, once per ``N`` and
+    call yields the Bessel rows of all the points, once per ``N`` and
     ``c t``, as the blocks consume them; a row is carried into the next block
     where a run of equal ``c t`` crosses into it.  A block is C-ordered, so a
     sum along its last axis adds a row's entries alike whatever block holds

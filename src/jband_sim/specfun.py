@@ -9,13 +9,17 @@ normalised through the sum-of-squares identity
 which stays stable for the large orders (hundreds) and large arguments
 (several hundred) that full-window sweeps require.
 
-The recurrence has two implementations, which do the same float operations
-in the same order.  ``bessel_j``, and the one-point profile of
-``propagator``, run it on Python floats, sum the squares for the norm with
-``math.fsum`` and never load numpy.  ``bessel_j_rows``, which the sweeps
-take all their rows from, steps the descents of many ``(n_max, x)`` keys
-together as numpy vectors; numpy's float64 rounds each operation as Python
-floats do.  It sums the squares with numpy's ``dot``, and its rows equal
+A descent for argument x starts at ``_start(x)``, a little above the Airy
+transition region past order x, whatever the orders asked for, so the row of
+any ``n_max`` at one x is a prefix of that x's one normalised history; its
+orders above the start are zero.  The recurrence has two implementations,
+which do the same float operations in the same order.  ``bessel_j``, and the
+one-point profile of ``propagator``, run it on Python floats, sum the squares
+for the norm with ``math.fsum`` and never load numpy.  ``bessel_j_rows``,
+which the sweeps take all their rows from, descends each distinct x of its
+``(n_max, x)`` keys once, stepping many descents together as the columns of
+numpy vectors; numpy's float64 rounds each operation as Python floats do.
+It sums the squares with numpy's ``dot``, and its rows equal
 ``bessel_j_row``, its one-key case, bit for bit.  A ``bessel_j`` value lies
 within 2 ulp of the row's entry for that order.  ``bessel_j`` and
 ``bessel_j_row`` check their key; ``bessel_j_rows`` takes checked keys.
@@ -28,6 +32,7 @@ for it once and share it themselves.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import check_integer
@@ -35,7 +40,8 @@ from .core import check_integer
 if TYPE_CHECKING:
     import numpy as np
 
-# Start the descent this far above the requested order; the margin keeps the
+# Start the descent this far above the Airy transition region, past which
+# J_n(x) falls off faster than exponentially in n; the margin keeps the
 # truncation contamination far below the 1e-10 accuracy target.
 _ORDER_MARGIN = 40
 # Rescale the unnormalised recurrence before its square can overflow.
@@ -43,32 +49,33 @@ _RESCALE_LIMIT = 1e130
 _RESCALE = 1e-130
 # Below this argument a two-term power series is exact to double precision.
 _SERIES_CUTOFF = 1e-8
-#: Envelope of the documented accuracy; larger orders or arguments are rejected
-#: before the recurrence allocates its (order + 1.5 x)-sized work array.
+#: Envelope of the documented accuracy; larger orders or arguments are rejected.
 MAX_ORDER = 2000
 MAX_ARGUMENT = 1000.0
-# Batched descents: a forward pass steps up to _BATCH_COLUMNS columns in whole
-# segments of _CHECKPOINT_STEPS steps, no more than the shortest descent takes,
-# so that no segment steps far past order 0, and keeps their state before each
-# segment; a replay group recomputes up to _BATCH_COLUMNS segments, which hold
-# the longest column.
-_BATCH_COLUMNS = 256
-_CHECKPOINT_STEPS = 32
+# A batched descent's step table holds at most this many floats (and at least
+# one column): 512 KiB, whatever the number of keys.
+_BATCH_FLOATS = 2**16
 
 
-def _start(n_max: int, x: float) -> int:
-    """The order a descent for J_0(x) .. J_{n_max}(x) starts from."""
-    return n_max + math.ceil(1.5 * x) + _ORDER_MARGIN
+def _start(x: float) -> int:
+    """The order a descent for J_0(x), J_1(x), ... starts from.
+
+    It lies ``_ORDER_MARGIN`` orders above ``x + 10 x^(1/3)``, about 12
+    widths (x/2)^(1/3) of the Airy transition region past the turning point
+    n = x (DLMF 10.19(iii)); every J_n(x) above it is negligible.  It does
+    not depend on the orders asked for.
+    """
+    return math.ceil(x + 10.0 * x ** (1.0 / 3.0)) + _ORDER_MARGIN
 
 
-def _descent(n_max: int, x: float) -> list[float]:
-    """Unnormalised J_0(x), J_1(x), ... from a recurrence started well above ``n_max``."""
+def _descent(x: float) -> list[float]:
+    """Unnormalised J_0(x) .. J_s(x) of a recurrence started at s = ``_start(x)``."""
     # f[start], f[start - 1], ...; the seed order exceeds x, where J is
     # positive, so the hidden proportionality constant is positive and no
     # sign fix is needed.
     f = [0.0, 1e-30]
     hi, lo = f
-    for n in range(_start(n_max, x) - 1, 0, -1):
+    for n in range(_start(x) - 1, 0, -1):
         v = (2.0 * n / x) * lo - hi
         if v > _RESCALE_LIMIT or v < -_RESCALE_LIMIT:
             f = [r * _RESCALE for r in f]
@@ -125,32 +132,36 @@ def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
     """``bessel_j_row(n_max, x)`` for each ``(n_max, x)`` of ``keys``, in order.
 
     The keys must have passed ``_check_row``, which is not run again.  Each
-    row equals the one-key row bit for bit, but the descents of up to
-    ``_BATCH_COLUMNS`` keys step together as numpy vectors: every key of a
-    batch that takes the descent is a column of ``_histories``, in key
-    order, and its row is its history normalised.  The working arrays stay
-    within a size the module constants fix, whatever the number of keys.
+    distinct ``x`` that takes the descent is descended once, by
+    ``_histories``, in order of first use; its history is normalised once
+    and kept only until the last key of that ``x`` has taken its row.  Each
+    row equals the one-key row bit for bit.
     """
     import numpy as np
 
     keys = list(keys)
-    for lo in range(0, len(keys), _BATCH_COLUMNS):
-        batch = keys[lo:lo + _BATCH_COLUMNS]
-        # A generator: a batch without descent keys never starts it.
-        histories = _histories([_start(n_max, x) for n_max, x in batch if x >= _SERIES_CUTOFF],
-                               np.array([x for _, x in batch if x >= _SERIES_CUTOFF]))
-        for n_max, x in batch:
-            if x < _SERIES_CUTOFF:
-                row = np.array(_series_row(n_max, x))
-            else:
+    # Each descended x, in order of first use, with the number of its keys still to come.
+    pending = Counter(x for _, x in keys if x >= _SERIES_CUTOFF)
+    histories = _histories(list(pending))
+    held: dict[float, tuple[np.ndarray, float]] = {}
+    for n_max, x in keys:
+        if x < _SERIES_CUTOFF:
+            row = np.array(_series_row(n_max, x))
+        else:
+            if x not in held:
                 f = next(histories)
                 # np.dot, not math.fsum as in _fsum_row: on a 2-vCPU Xeon it
                 # normalises a 2 391-term row in 102 us against 252-287 us.
                 # f is contiguous: a strided dot would round differently.
-                norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
-                row = f[:n_max + 1] / norm
-            row.setflags(write=False)
-            yield row
+                held[x] = f, math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
+            pending[x] -= 1
+            f, norm = held[x] if pending[x] else held.pop(x)
+            # Orders above the start are zero.
+            row = np.zeros(n_max + 1)
+            m = min(n_max + 1, len(f))
+            np.divide(f[:m], norm, out=row[:m])
+        row.setflags(write=False)
+        yield row
 
 
 def _coefficients(n: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
@@ -162,95 +173,72 @@ def _coefficients(n: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
     return np.divide(coef, x, out=coef)
 
 
-def _histories(starts: list[int], x: np.ndarray) -> Iterator[np.ndarray]:
-    """The unnormalised histories f[0 .. s] of columns of starts ``starts``, in order.
+def _histories(xs: list[float]) -> Iterator[np.ndarray]:
+    """The unnormalised histories ``_descent(x)`` of the arguments ``xs``, in order, as arrays.
 
-    Step i of a column of start s computes order s - 2 - i with the scalar
-    descent's operations: numpy rounds each elementwise operation as Python
-    floats do and fuses none.  A forward pass steps all columns from their
-    seeds together, in segments of B = ``_CHECKPOINT_STEPS`` steps, until
-    the longest column's last segment ends; past order 0 a column steps on
-    with factor 0, which keeps its values within the rescale limit.  It
-    keeps only every column's ``(hi, lo)`` before each segment, and the
-    steps at which each column was rescaled.  Replays then recompute the
-    histories a group of consecutive columns at a time, as many as hold
-    ``_BATCH_COLUMNS`` segments or fewer, and at least one: all segments of
-    a group in parallel, each from its checkpoint, with each rescale event
-    in the one segment that holds its step.  A replay builds its step table only once the forward pass's
-    last table, or the previous group's, has gone.  Each history is a new
-    contiguous array.
+    Consecutive arguments descend together as the columns of one batch, as
+    many as fit ``_BATCH_FLOATS`` floats at the batch's longest start, and
+    at least one.  Step i of a column of start s computes order s - 2 - i
+    with the scalar descent's operations, in place over row i of the batch's
+    factor table: numpy rounds each elementwise operation as Python floats
+    do and fuses none.  Past order 0 a column steps on with factor 0, which
+    keeps its values within the rescale limit.  A rescale at step i scales
+    the step's value in the table, and the column's history is then its
+    steps reversed, with every order above the step's scaled as the scalar
+    descent scales them.  The histories are yielded one at a time, each a
+    new contiguous array, while the table lives.
     """
     import numpy as np
 
-    B = _CHECKPOINT_STEPS
-    segments = [-(-(s - 1) // B) for s in starts]  # a column of start s takes s - 1 steps
-    n = np.array(starts) - 1
-    state = np.empty((2, max(segments), len(starts)))
-    hi, lo = np.zeros(len(starts)), np.full(len(starts), 1e-30)
-    events: list[list[int]] = [[] for _ in starts]
     limit = _RESCALE_LIMIT * _RESCALE_LIMIT
-    for q in range(state.shape[1]):
-        state[0, q], state[1, q] = hi, lo
+    end = 0
+    while end < len(xs):
+        batch: list[int] = []  # its columns' starts; a column of start s takes s - 1 steps
+        longest = 0
+        while end < len(xs):
+            s = _start(xs[end])
+            if batch and (len(batch) + 1) * (max(longest, s) - 1) > _BATCH_FLOATS:
+                break
+            batch.append(s)
+            longest = max(longest, s)
+            end += 1
+        table = _coefficients(np.array(batch) - 1, np.array(xs[end - len(batch):end]), longest - 1)
+        hi, lo = np.zeros(len(batch)), np.full(len(batch), 1e-30)
+        events: list[list[int]] = [[] for _ in batch]
         # Each row of factors becomes the values of its step.
-        for i, v in enumerate(_coefficients(n - q * B, x, B), q * B):
+        for i, v in enumerate(table):
             np.multiply(v, lo, v)
             np.subtract(v, hi, v)
             hi, lo = lo, v
             # No |v| passes the limit unless v . v does, and that costs one call.
             if v.dot(v) >= limit:
+                hi = hi.copy()  # the previous step's values stay as computed
                 for p in (np.abs(v) > _RESCALE_LIMIT).nonzero()[0].tolist():
                     v[p] *= _RESCALE
                     hi[p] *= _RESCALE
                     events[p].append(i)
-    del hi, lo, v  # the last table goes before the replays build theirs
-    end = 0  # the first column no group has taken
-    while end < len(starts):
-        group: list[tuple[int, int]] = []  # its columns, each with its first lane
-        cols: list[int] = []  # per lane: its column and its segment
-        segs: list[int] = []
-        rescaled: dict[int, list[int]] = {}  # step in segment -> lanes rescaled at it
-        while end < len(starts) and (not cols or len(cols) + segments[end] <= _BATCH_COLUMNS):
-            group.append((end, len(cols)))
-            for i in events[end]:
-                rescaled.setdefault(i % B, []).append(len(cols) + i // B)
-            cols += [end] * segments[end]
-            segs += range(segments[end])
-            end += 1
-        column, segment = np.array(cols), np.array(segs)
-        hi, lo = state[:, segment, column]
-        # Each row of factors becomes the values of its step.
-        values = _coefficients(n[column] - B * segment, x[column], B)
-        for i, v in enumerate(values):
-            np.multiply(v, lo, v)
-            np.subtract(v, hi, v)
-            hi = lo
-            if i in rescaled:
-                hi = lo.copy()
-                for r in rescaled[i]:
-                    v[r] *= _RESCALE
-                    hi[r] *= _RESCALE
-            lo = v
-        for p, at in group:
-            s = starts[p]
-            # Orders ascending: the column's steps, one segment after another, reversed.
+        del hi, lo, v
+        for p, s in enumerate(batch):
+            # Orders ascending: the column's steps, reversed, then its seeds.
             f = np.empty(s + 1)
-            f[s - 2::-1] = values[:, at:at + segments[p]].T.ravel()[:s - 1]
+            f[s - 2::-1] = table[:s - 1, p]
             f[s - 1:] = 1e-30, 0.0
             # The scalar descent rescales order n - 1 as it computes it, at
             # n = s - 1 - i, and every order it holds by then, n up, with it.
             for i in events[p]:
                 f[s - 1 - i:] *= _RESCALE
             yield f
-        del values, hi, lo, v  # before the next group builds its table
+        del table  # before the next batch builds its table
 
 
 def _fsum_row(n_max: int, x: float) -> list[float]:
     """J_0(x) .. J_{n_max}(x) of checked arguments as floats; the norm sums with ``math.fsum``."""
     if x < _SERIES_CUTOFF:
         return _series_row(n_max, x)
-    f = _descent(n_max, x)
+    f = _descent(x)
     norm = math.sqrt(f[0] * f[0] + 2.0 * math.fsum(v * v for v in f[1:]))
-    return [v / norm for v in f[: n_max + 1]]
+    # Orders above the start are zero.
+    return [v / norm for v in f[: n_max + 1]] + [0.0] * (n_max + 1 - len(f))
 
 
 def bessel_j(n: int, x: float) -> float:

@@ -373,10 +373,26 @@ def counting_rows(monkeypatch):
     return keys
 
 
+def counting_descents(monkeypatch):
+    """The arguments of each batched call's descents, one list per call, as they are descended."""
+    calls, histories = [], specfun._histories
+
+    def descend(xs):
+        calls.append([])
+        for x, f in zip(xs, histories(xs)):
+            calls[-1].append(x)
+            yield f
+
+    monkeypatch.setattr(specfun, "_histories", descend)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(n for n, d in EXPERIMENTS.items() if d.kind == "entropy"))
 def test_each_bessel_row_is_computed_once(name, monkeypatch):
     # Points that share N // 2 and c t share one row, even where a block of
     # the sweep ends inside their run: at one row per block, every run does.
+    # The sweep's one batched call descends each distinct c t once, in order
+    # of first use, whatever the N of its keys.
     plan = resolve(ExperimentSpec(name))
     var = plan.sweep.variable
     expected = {(int(v["N"]) // 2, float(v["c"]) * float(v["t"]))
@@ -385,8 +401,10 @@ def test_each_bessel_row_is_computed_once(name, monkeypatch):
     for cap in (propagator._BLOCK_ELEMENTS, 1):
         monkeypatch.setattr(propagator, "_BLOCK_ELEMENTS", cap)
         keys = counting_rows(monkeypatch)
+        descents = counting_descents(monkeypatch)
         run_experiment_outputs(ExperimentSpec(name))
         assert sorted(keys) == sorted(expected), cap
+        assert descents == [list(dict.fromkeys(x for _, x in keys if x >= specfun._SERIES_CUTOFF))], cap
 
 
 def test_each_entropy_point_is_checked_once(monkeypatch):

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -17,7 +18,8 @@ import pytest
 from jband_sim import cli
 from jband_sim.config import parse_number
 from jband_sim.core import model_params
-from jband_sim.experiments import _KINDS, EXPERIMENTS, CsvTable, ExperimentSpec, resolve, run_experiment
+from jband_sim.experiments import (_KINDS, EXPERIMENTS, CsvTable, ExperimentSpec, resolve, run_experiment,
+                                  run_experiment_outputs, sweep_grid)
 from jband_sim.measures import (
     _site_entropies, average_concurrence, extended_state_entropy, spano_coherence_size)
 from jband_sim.multipartite import SusceptibilityParams, chi3_magnitude
@@ -229,12 +231,6 @@ def test_bundled_studies_match_reference_digests(tmp_path, capsys, monkeypatch):
         assert digests == reference, writer.__name__
 
 
-def test_bundled_digests_equal_the_benchmark_copy():
-    # The benchmark reports its own copy of the bundled digests as information.
-    bench = json.loads((ROOT / "bench" / "reference_digests.json").read_text(encoding="utf-8"))
-    assert json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["bundled"] == bench["files"]
-
-
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 3
     assert "i/o error" in capsys.readouterr().err
@@ -257,6 +253,16 @@ def test_config_with_a_byte_order_mark_runs(tmp_path):
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         outputs.append((tmp_path / name / "fig4.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("data", ["experiment = fig4\n# caf\u00e9\n".encode("latin-1"),
+                                  "experiment = fig4\n".encode("utf-16")], ids=["latin-1", "utf-16"])
+def test_config_that_is_not_utf8_is_a_config_error(data, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(data)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: configuration file is not UTF-8: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_list_names_every_preset(capsys):
@@ -654,6 +660,44 @@ def test_profile_evals_match_the_array_path(measure, pairs, capsys):
     assert (code, out, err) == (0, format_number(expected) + "\n", "")
     value = cli.EVAL_MEASURES[measure][2](kw)
     assert math.isclose(value, expected, rel_tol=1e-14, abs_tol=0.0), (value, expected)
+
+
+def bundled_entropy_cells():
+    """``(study, measure, eval pairs) -> printed cell`` over the bundled entropy studies."""
+    cells = {}
+    for name in sorted(EXPERIMENTS.keys() - {"custom"}):
+        plan = resolve(ExperimentSpec(name))
+        if plan.kind != "entropy":
+            continue
+        tables = run_experiment_outputs(ExperimentSpec(name))
+        for i, x in enumerate(sweep_grid(plan.sweep)):
+            for j, curve in enumerate(plan.curves):
+                v = {**plan.base, **curve, plan.sweep.variable: x}
+                pairs = f"t={v['t']!r} N={v['N']} c={v['c']!r} a={v['a']!r} b={v['b']!r}"
+                for measure, suffix in (("entropy", ""), ("entropy_avg", "avg")):
+                    cells[name, measure, pairs] = format_number(tables[suffix].rows[i][1 + j])
+    return cells
+
+
+# Over all 5 766 cells of the seven bundled entropy studies (2 883 points,
+# each with S and S_avg), eval reprints every one but this: fig2a's S_a1.5
+# at t = 9.600000000000001, whose true value 0.51749727956249993 lies 7e-17
+# below a rounding tie.  The sweep normalises its Bessel rows with np.dot and
+# prints ...563; eval normalises with math.fsum and prints ...562.
+TIE_BOUND = {("fig2a", "entropy", "t=9.600000000000001 N=150 c=10.0 a=1.5 b=0.0"):
+             ("0.517497279563", "0.517497279562")}
+
+
+def test_eval_reprints_bundled_entropy_cells(capsys):
+    # A seeded sample of the cells, and the tie-bound ones.
+    cells = bundled_entropy_cells()
+    assert len(cells) == 5766
+    sample = random.Random(1).sample(sorted(cells.keys() - TIE_BOUND.keys()), 50)
+    for key in sample + list(TIE_BOUND):
+        _, measure, pairs = key
+        assert cli.main(["eval", measure, *pairs.split()]) == 0
+        printed = capsys.readouterr().out.rstrip("\n")
+        assert (cells[key], printed) == TIE_BOUND.get(key, (cells[key], cells[key])), key
 
 
 # The measures of the benchmark's cold-eval mix, and the module that defines each.

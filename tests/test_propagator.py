@@ -159,28 +159,28 @@ def test_point_occupation_matches_the_array_profile(t, p):
 
 
 def test_sweep_working_memory_is_bounded():
-    # A t sweep at the largest window, with more distinct c t than one batched
-    # descent takes.  The descent keeps two checkpoint floats per column for
-    # each of the longest descent's segments, and a replay group's steps and
-    # temporaries take at most three buffers of _CHECKPOINT_STEPS floats per
-    # segment for _BATCH_COLUMNS segments; a block at N = 4001 holds a few
-    # arrays of N floats.  The rest is the sweep's points and keys.  Rows kept
-    # for the whole sweep, or whole histories, would take several MiB.
+    # t sweeps at the largest window, with more distinct c t than one batch
+    # takes: 300 points up to c t = 150, and 2 000 up to the largest argument.
+    # The batched descent's step table holds at most _BATCH_FLOATS floats.
+    # Eight arrays of N floats hold a block at N = 4001, its temporaries, the
+    # rows it takes and the one history (at most 1 141 floats) being
+    # normalised.  The rest grows with the sweep: about 160 B per point for
+    # its key and the descent's count of the keys still to take each c t.
+    # Rows kept for the whole sweep would take 32 MB; the bound stays below
+    # the 1 169 472 B that the checkpoint/replay kernel before this one needed.
     N = 4001
-    longest = specfun.MAX_ORDER + math.ceil(1.5 * specfun.MAX_ARGUMENT) + specfun._ORDER_MARGIN
-    B, W = specfun._CHECKPOINT_STEPS, specfun._BATCH_COLUMNS
-    kernel = 8 * (2 * W * ((longest - 1) // B + 1) + 3 * B * W)
-    bound = kernel + 8 * 8 * N + 2**18
-    points = [_check_point(0.005 * k, params(c=100.0, N=N)) for k in range(1, 301)]
-    next(_occupation_blocks(points[:1]))  # numpy and its first-use allocations
-    tracemalloc.start()
-    try:
-        for _ in _occupation_blocks(points):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound, (peak, bound)
+    for sweep in (300, 2000):
+        bound = 8 * specfun._BATCH_FLOATS + 8 * 8 * N + 160 * sweep
+        points = [_check_point(0.005 * k, params(c=100.0, N=N)) for k in range(1, sweep + 1)]
+        next(_occupation_blocks(points[:1]))  # numpy and its first-use allocations
+        tracemalloc.start()
+        try:
+            for _ in _occupation_blocks(points):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound <= 1_169_472, (sweep, peak, bound)
 
 
 def test_band_edges():

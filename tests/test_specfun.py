@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -177,8 +176,10 @@ def test_graf_addition_theorem(n, x256, y256):
     (2000, 3.0), (2000, 0.5), (1500, 1e-7), (1000, 1.0), (300, 0.01), (100, 1e-3),
 ])
 def test_rescaled_rows_against_arbitrary_precision_oracle(n_max, x):
-    # A small argument with many orders overflows the unnormalised descent
-    # several times (5 to 118 rescales here); every rescale must keep the row.
+    # A small argument overflows the unnormalised descent: x = 1e-7 rescales
+    # it twice and x = 1e-3 once, and every rescale must keep the row.  The
+    # other descents here start below order 60, too low to overflow, and
+    # every order above the start must still be within the tolerance.
     row = bessel_j_row(n_max, x)
     for k in range(0, n_max + 1, max(1, n_max // 40)):
         ref = bessel_mp(k, x)
@@ -186,6 +187,26 @@ def test_rescaled_rows_against_arbitrary_precision_oracle(n_max, x):
             assert row[k] == pytest.approx(ref, rel=1e-12)
         else:
             assert abs(row[k]) <= 1e-280
+
+
+ENVELOPE_ARGUMENTS = [0.0, 1e-300, 5e-9, math.nextafter(_SERIES_CUTOFF, 0.0), _SERIES_CUTOFF, 1e-5,
+                      0.02, 0.5, 3.0, 11.0846, 37.3, 150.0, 477.5155, 750.0, 998.5, MAX_ARGUMENT]
+
+
+def test_rows_against_the_oracle_over_the_envelope():
+    # Rows of every order up to MAX_ORDER, from one batched call, over the
+    # arguments of the envelope, series path included: every 100th order, the
+    # lowest, those around the turning point n = x and those around the
+    # descent's start, above which the row is zero.  The largest error seen
+    # is 1.5e-16, against the 1e-10 that bessel_j promises.
+    rows = bessel_j_rows([(MAX_ORDER, x) for x in ENVELOPE_ARGUMENTS])
+    for x, row in zip(ENVELOPE_ARGUMENTS, rows):
+        s = specfun._start(x)
+        near = (int(x) - 1, int(x), int(x) + 1, s - 2, s - 1, s, s + 1)
+        orders = {*range(0, MAX_ORDER + 1, 100), 1, 2, 3, 7, *(n for n in near if 0 <= n <= MAX_ORDER)}
+        for n in sorted(orders):
+            assert abs(row[n] - bessel_mp(n, x)) <= 1e-15, (n, x)
+        assert x < _SERIES_CUTOFF or not row[s:].any()
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-9, 2.5, 37.3])
@@ -205,9 +226,12 @@ def scalar_row(n_max, x):
     # the batched descent must equal bit for bit.
     if x < _SERIES_CUTOFF:
         return np.array(_series_row(n_max, x))
-    f = np.array(_descent(n_max, x))
+    f = np.array(_descent(x))
     norm = math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
-    return f[: n_max + 1] / norm
+    row = np.zeros(n_max + 1)  # orders above the start are zero
+    m = min(n_max + 1, len(f))
+    row[:m] = f[:m] / norm
+    return row
 
 
 def assert_rows_bit_exact(keys):
@@ -232,20 +256,33 @@ ARGUMENTS = st.one_of(
 @example([(0, 0.0), (0, _SERIES_CUTOFF), (0, MAX_ARGUMENT)])
 # Small arguments at large orders rescale the descent many times.
 @example([(2000, 1e-8), (2000, 3.0), (1500, 1e-7), (2000, 1e-8), (300, 0.01), (2000, 1000.0)])
-# Starts n + 43: a column's last segment steps 1 to 32 orders before it passes order 0.
-@example([(n, 2.0) for n in range(32)])
+# Keys of one x share its descent (start 55 at x = 2), below and above its start.
+@example([(n, 2.0) for n in range(0, 100, 3)])
 def test_batched_rows_equal_the_scalar_descent(keys):
     assert_rows_bit_exact(keys)
+
+
+@given(st.integers(min_value=0, max_value=MAX_ORDER), st.integers(min_value=0, max_value=MAX_ORDER),
+       ARGUMENTS)
+@settings(deadline=None, max_examples=40)
+@example(0, MAX_ORDER, MAX_ARGUMENT)
+@example(40, 1000, 2.0)
+@example(3, 2000, 1e-9)
+def test_rows_of_one_argument_are_prefixes_of_each_other(n, m, x):
+    # One normalised history per x: a row for fewer orders is the start of
+    # the row for more, bit for bit, also past the descent's start.
+    short, long = bessel_j_row(min(n, m), x), bessel_j_row(max(n, m), x)
+    assert short.tobytes() == long[: len(short)].tobytes()
 
 
 @pytest.mark.parametrize("columns,steps", [(1, 8), (3, 16), (7, 32), (5, _ORDER_MARGIN),
                                            (4, 100), (3, 200)])
 def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, monkeypatch):
-    # Several batches and several replay groups per batch, columns longer than
-    # a group, and checkpoint intervals longer than the shortest descent,
-    # whose one segment steps on past order 0.
-    monkeypatch.setattr(specfun, "_BATCH_COLUMNS", columns)
-    monkeypatch.setattr(specfun, "_CHECKPOINT_STEPS", steps)
+    # A float budget of `columns` columns of `steps` steps.  Below the
+    # shortest descent's 40 steps every batch has one column; above it,
+    # batches of several columns whose starts differ, and columns that step
+    # on past order 0 while a longer one finishes.
+    monkeypatch.setattr(specfun, "_BATCH_FLOATS", columns * steps)
     rng = random.Random(columns)
     keys = [(rng.randint(0, MAX_ORDER), min(10.0 ** rng.uniform(-9.0, 3.0), MAX_ARGUMENT))
             for _ in range(14)]
@@ -253,15 +290,15 @@ def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, monke
 
 
 def test_batch_constants_fit_every_descent():
-    # Rows are exact at any constants; these bound the work.  A checkpoint
-    # interval no longer than the shortest descent wastes no steps past
-    # order 0, and one replay group holds the longest column's segments.  A
-    # descent from start s runs s - 1 steps over ceil((s - 1) / B) segments,
-    # never more than (s - 1) // B + 1.
-    shortest = 0 + math.ceil(1.5 * _SERIES_CUTOFF) + _ORDER_MARGIN
-    longest = MAX_ORDER + math.ceil(1.5 * MAX_ARGUMENT) + _ORDER_MARGIN
-    assert specfun._CHECKPOINT_STEPS <= shortest - 1
-    assert (longest - 1) // specfun._CHECKPOINT_STEPS + 1 <= specfun._BATCH_COLUMNS
+    # Rows are exact at any budget; it bounds the work.  A descent from start
+    # s takes s - 1 steps.  The shortest starts at 41 and the longest, at the
+    # largest argument, at 1 140 (3 540 when the start followed n_max); the
+    # budget holds 57 columns of the longest, so no default batch exceeds it
+    # and the longest descents still step many columns together.
+    assert specfun._start(_SERIES_CUTOFF) == _ORDER_MARGIN + 1
+    longest = specfun._start(MAX_ARGUMENT)
+    assert longest == 1140
+    assert specfun._BATCH_FLOATS // (longest - 1) == 57
 
 
 # Long-row custom sweeps shaped like the benchmark's wide_window workload.
@@ -285,51 +322,55 @@ def study_keys(specs, monkeypatch):
     return calls
 
 
-def test_study_batches_equal_the_scalar_descent(monkeypatch):
-    # Full-width batches at the default constants, on the keys the sweeps
-    # really hand over: the ten bundled studies (fig1a's 603 keys and fig2c's
-    # 451 take several batches) and two long-row custom sweeps.
-    specs = [ExperimentSpec(name) for name in sorted(EXPERIMENTS.keys() - {"custom"})]
-    calls = study_keys(specs + WIDE_WINDOW_SPECS, monkeypatch)
-    assert max(map(len, calls)) > 2 * specfun._BATCH_COLUMNS
-    for keys in calls:
-        assert_rows_bit_exact(keys)
-
-
-def test_replay_groups_fill_the_batch_width(monkeypatch):
-    # Every step table has at most _BATCH_COLUMNS lanes.  After a batch's
-    # forward tables, one per segment of its longest column, each replay
-    # table takes consecutive columns' segments and closes only when the
-    # next column's would not fit.  Closing early keeps the bits, so only
-    # this test sees it.
-    W, B = specfun._BATCH_COLUMNS, specfun._CHECKPOINT_STEPS
-    widths, widest = [], 0
-    coefficients = specfun._coefficients
+def batch_tables(monkeypatch):
+    """The ``(steps, starts)`` of every step table the batched descents build, as they build them."""
+    tables, coefficients = [], specfun._coefficients
 
     def table(n, x, steps):
-        widths.append(len(n))
+        tables.append((steps, (n + 1).tolist()))
         return coefficients(n, x, steps)
 
-    calls = study_keys(WIDE_WINDOW_SPECS, monkeypatch)
     monkeypatch.setattr(specfun, "_coefficients", table)
+    return tables
+
+
+def test_study_batches_equal_the_scalar_descent(monkeypatch):
+    # Full batches at the default budget, on the keys the sweeps really hand
+    # over: the ten bundled studies (fig1a's 603 keys and fig2c's 451 take
+    # several batches) and two long-row custom sweeps.
+    specs = [ExperimentSpec(name) for name in sorted(EXPERIMENTS.keys() - {"custom"})]
+    calls = study_keys(specs + WIDE_WINDOW_SPECS, monkeypatch)
+    tables = batch_tables(monkeypatch)
+    batches = []
     for keys in calls:
-        for lo in range(0, len(keys), W):
-            batch = keys[lo:lo + W]
-            segments = [-(-(specfun._start(n, x) - 1) // B) for n, x in batch
-                        if x >= _SERIES_CUTOFF]
-            widths.clear()
-            list(bessel_j_rows(batch))
-            forward, replays = widths[:max(segments)], widths[max(segments):]
-            assert forward == [len(segments)] * max(segments)
-            ends = list(itertools.accumulate(segments))
-            at = 0
-            for width in replays:
-                p = ends.index(at + width)  # a group ends at a column's end
-                assert width <= W and (p + 1 == len(segments) or width + segments[p + 1] > W)
-                at += width
-            assert at == ends[-1]
-            widest = max(widest, *widths)
-    assert widest == W
+        tables.clear()
+        assert_rows_bit_exact(keys)
+        batches.append(len(tables))
+    assert max(batches) > 2
+
+
+def test_batch_tables_fit_the_float_budget(monkeypatch):
+    # Every step table holds at most _BATCH_FLOATS floats, or one column, and
+    # steps as far as its longest column.  A batch takes consecutive columns
+    # and closes only when the next column would not fit.  Closing early
+    # keeps the bits, so only this test sees it.
+    calls = study_keys(WIDE_WINDOW_SPECS, monkeypatch)
+    tables = batch_tables(monkeypatch)
+    for budget in (specfun._BATCH_FLOATS, 5000, 1):
+        monkeypatch.setattr(specfun, "_BATCH_FLOATS", budget)
+        widths = []
+        for keys in calls:
+            tables.clear()
+            list(bessel_j_rows(keys))
+            assert [s for _, starts in tables for s in starts] == \
+                [specfun._start(x) for x in dict.fromkeys(x for _, x in keys if x >= _SERIES_CUTOFF)]
+            for k, (steps, starts) in enumerate(tables):
+                assert starts and steps == max(starts) - 1
+                assert len(starts) == 1 or len(starts) * steps <= budget
+                if k + 1 < len(tables):
+                    assert (len(starts) + 1) * (max(steps + 1, tables[k + 1][1][0]) - 1) > budget
+            widths += [len(starts) for _, starts in tables]
+        assert (max(widths) > 1) == (budget > 1)
 
 
 def test_one_key_calls_check_their_key():
