@@ -16,9 +16,9 @@ exp(-a^2) and exp(-b^2 t).  A sweep evaluates them in blocks, the profiles
 of consecutive points of one N, ordered by c t, as the rows of one array;
 one batched call per sweep yields their Bessel rows, once per N and c t,
 from one descent per c t, and a point's values do not depend on the
-blocking.  ``occupation_profile``
-builds one profile from the same inputs as Python floats and never loads
-numpy; it agrees with the block path to about 1e-14 relative.
+blocking.  ``occupation_profile`` builds one profile from the same inputs as
+Python floats and never loads numpy; it agrees with the block path to about
+1e-14 relative.
 
 All functions are pure; independent (site, time) points can be evaluated
 concurrently.

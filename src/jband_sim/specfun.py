@@ -217,7 +217,6 @@ def _histories(xs: list[float]) -> Iterator[np.ndarray]:
                     v[p] *= _RESCALE
                     hi[p] *= _RESCALE
                     events[p].append(i)
-        del hi, lo, v
         for p, s in enumerate(batch):
             # Orders ascending: the column's steps, reversed, then its seeds.
             f = np.empty(s + 1)
@@ -228,7 +227,7 @@ def _histories(xs: list[float]) -> Iterator[np.ndarray]:
             for i in events[p]:
                 f[s - 1 - i:] *= _RESCALE
             yield f
-        del table  # before the next batch builds its table
+        del table, hi, lo, v  # the table and its views, before the next batch builds its own
 
 
 def _fsum_row(n_max: int, x: float) -> list[float]:

@@ -178,8 +178,9 @@ def test_graf_addition_theorem(n, x256, y256):
 def test_rescaled_rows_against_arbitrary_precision_oracle(n_max, x):
     # A small argument overflows the unnormalised descent: x = 1e-7 rescales
     # it twice and x = 1e-3 once, and every rescale must keep the row.  The
-    # other descents here start below order 60, too low to overflow, and
-    # every order above the start must still be within the tolerance.
+    # other descents here start below order 60, too low to overflow.  Orders
+    # near and above a start (zero there) lose relative accuracy, and pass on
+    # the absolute 1e-12 that pytest.approx keeps beside rel.
     row = bessel_j_row(n_max, x)
     for k in range(0, n_max + 1, max(1, n_max // 40)):
         ref = bessel_mp(k, x)
@@ -336,8 +337,8 @@ def batch_tables(monkeypatch):
 
 def test_study_batches_equal_the_scalar_descent(monkeypatch):
     # Full batches at the default budget, on the keys the sweeps really hand
-    # over: the ten bundled studies (fig1a's 603 keys and fig2c's 451 take
-    # several batches) and two long-row custom sweeps.
+    # over: the ten bundled studies (fig1a's 603 keys, 201 distinct c t, take
+    # two batches and fig2c's 451 three) and two long-row custom sweeps.
     specs = [ExperimentSpec(name) for name in sorted(EXPERIMENTS.keys() - {"custom"})]
     calls = study_keys(specs + WIDE_WINDOW_SPECS, monkeypatch)
     tables = batch_tables(monkeypatch)
