@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 from jband_sim.experiments import EXPERIMENTS, ExperimentSpec, run_experiment_outputs
-from jband_sim.output import emit_svg, write_csv
+from jband_sim.output import write_study
 
 
 def main():
@@ -20,11 +20,8 @@ def main():
         if name == "custom":
             continue
         t0 = time.perf_counter()
-        for suffix, table in run_experiment_outputs(ExperimentSpec(name)).items():
-            stem = f"{name}_{suffix}" if suffix else name
-            path = write_csv(table, out_dir / f"{stem}.csv")
-            if not args.no_svg:
-                emit_svg(table, path.with_suffix(".svg"))
+        list(write_study(run_experiment_outputs(ExperimentSpec(name)), out_dir / f"{name}.csv",
+                         not args.no_svg))
         print(f"{name}: {time.perf_counter() - t0:.2f} s")
     print(f"total: {time.perf_counter() - started:.2f} s -> {out_dir}/")
 

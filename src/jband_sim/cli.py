@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .config import ConfigError, parse_config, parse_number
 from .core import DEFAULT_BASE, model_params
-from .output import emit_svg, format_number, write_csv
+from .output import format_number, write_study
 
 EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO = 0, 1, 2, 3
 
@@ -127,16 +127,8 @@ def _cmd_run(args) -> int:
     except UnicodeDecodeError as exc:  # a ValueError, which would read as a domain error
         raise ConfigError(f"configuration file is not UTF-8: {exc}") from None
     spec = parse_config(text)
-    outputs = _cli.run_experiment_outputs(spec)
-    primary = _primary_path(spec, args.out)
-    for suffix, table in outputs.items():
-        path = primary if not suffix else primary.with_name(f"{primary.stem}_{suffix}.csv")
-        write_csv(table, path)
+    for path in write_study(_cli.run_experiment_outputs(spec), _primary_path(spec, args.out), args.svg):
         print(f"wrote {path}")
-        if args.svg:
-            svg_path = path.with_suffix(".svg")
-            emit_svg(table, svg_path)
-            print(f"wrote {svg_path}")
     return EXIT_OK
 
 

@@ -1,7 +1,9 @@
 """CSV and SVG emission.
 
 Both writers are byte-deterministic for a given table and replace the target
-file atomically, so a failed run never leaves a partial output behind.
+file atomically, so no file is ever half-written.  ``write_study`` names and
+writes all of a study's files, one at a time: a run stopped by an I/O error
+keeps the files it finished, each of which it has yielded.
 """
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .experiments import CsvTable
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -120,3 +124,18 @@ def render_svg(table: CsvTable) -> str:
 def emit_svg(table: CsvTable, output_path: Path | str) -> Path:
     """Render a table to a deterministic SVG line chart and write it atomically."""
     return _atomic_write(output_path, render_svg(table))
+
+
+def write_study(tables: dict[str, CsvTable], primary: Path, svg: bool) -> Iterator[Path]:
+    """Write a study's tables in order, yielding each path once it is written.
+
+    The ``''`` table goes to ``primary`` and the table of suffix ``s`` to
+    ``<stem>_s.csv`` beside it; with ``svg``, each CSV's chart follows it at
+    the same path with ``.svg``.  Nothing is written until the generator is
+    iterated.
+    """
+    for suffix, table in tables.items():
+        path = primary.with_name(f"{primary.stem}_{suffix}.csv") if suffix else primary
+        yield write_csv(table, path)
+        if svg:
+            yield emit_svg(table, path.with_suffix(".svg"))

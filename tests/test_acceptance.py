@@ -18,7 +18,7 @@ from jband_sim.multipartite import (
     two_exciton_diagonalize,
     zeta_ratios,
 )
-from jband_sim.output import render_csv, write_csv
+from jband_sim.output import render_csv, write_study
 from jband_sim.propagator import occupation_profile, window_survival
 from jband_sim.specfun import bessel_j, bessel_j_row
 
@@ -203,9 +203,7 @@ def test_cli_determinism_and_runtime(tmp_path):
     for name in EXPERIMENTS:
         if name == "custom":
             continue
-        for suffix, table in run_experiment_outputs(ExperimentSpec(name)).items():
-            filename = f"{name}_{suffix}.csv" if suffix else f"{name}.csv"
-            write_csv(table, tmp_path / filename)
+        list(write_study(run_experiment_outputs(ExperimentSpec(name)), tmp_path / f"{name}.csv", False))
     elapsed = time.perf_counter() - started
     cfg = tmp_path / "fig1a.cfg"
     cfg.write_text("experiment = fig1a\n", encoding="utf-8")

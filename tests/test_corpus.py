@@ -2,15 +2,16 @@
 
 The ``bundled`` case holds the 34 files of the ten bundled studies, as
 ``jband-sim run --svg`` writes them; ``test_output_and_cli.py``'s
-``test_bundled_studies_match_reference_digests`` checks that both writers,
-the CLI and ``scripts/run_all_figures.py``, reproduce it.  The other cases
-pin the shapes around them: ``eval`` of every measure (the benchmark's
-``cli_eval`` rounds of seeds 1-3 among them), ``jband-sim list``, error
-messages with their exit codes, overridden presets, ``custom`` sweeps over
-every model parameter and over ``M``, and the long-row ``wide_window`` tables
-of seeds 1 and 7.  Everything runs in process.  Each case maps entry names to
-digests of the bytes a user sees: a CSV or SVG file, or the exit code,
-standard output and standard error of one CLI call.
+``test_bundled_studies_match_reference_digests`` checks that both entry
+points of the one writer, ``output.write_study``, reproduce it: the CLI and
+``scripts/run_all_figures.py``.  The other cases pin the shapes around them:
+``eval`` of every measure (the benchmark's ``cli_eval`` rounds of seeds 1-3
+among them), ``jband-sim list``, error messages with their exit codes,
+overridden presets, ``custom`` sweeps over every model parameter and over
+``M``, and the long-row ``wide_window`` tables of seeds 1 and 7.  Everything
+runs in process.  Each case maps entry names to digests of the bytes a user
+sees: a CSV or SVG file, or the exit code, standard output and standard
+error of one CLI call.
 
 After an intended output change, bundled studies included, remake the
 digest file with
@@ -35,7 +36,7 @@ import pytest
 
 from jband_sim import cli
 from jband_sim.experiments import EXPERIMENTS, ExperimentSpec, SweepAxis, run_experiment_outputs
-from jband_sim.output import emit_svg, write_csv
+from jband_sim.output import write_study
 
 DIGESTS = Path(__file__).with_name("corpus_digests.json")
 
@@ -237,10 +238,7 @@ def _bundled(out: Path) -> dict[str, str]:
 def _custom(name: str, out: Path) -> dict[str, str]:
     params, sweep = CUSTOM[name]
     tables = run_experiment_outputs(ExperimentSpec("custom", params, SweepAxis(*sweep)))
-    for suffix, table in tables.items():
-        stem = f"{name}_{suffix}" if suffix else name
-        write_csv(table, out / f"{stem}.csv")
-        emit_svg(table, out / f"{stem}.svg")
+    list(write_study(tables, out / f"{name}.csv", svg=True))
     return _files(out)
 
 
@@ -264,7 +262,7 @@ def test_corpus_covers_every_case():
     assert sorted(_stored()) == sorted(CASES)
 
 
-# test_bundled_studies_match_reference_digests checks the bundled case with both writers.
+# test_bundled_studies_match_reference_digests checks the bundled case through both entry points.
 @pytest.mark.parametrize("case", sorted(CASES.keys() - {"bundled"}))
 def test_outputs_match_corpus(case, tmp_path):
     assert CASES[case](tmp_path) == _stored()[case]

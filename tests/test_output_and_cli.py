@@ -220,8 +220,9 @@ def write_bundled_with_script(out, tmp_path, monkeypatch):
 
 def test_bundled_studies_match_reference_digests(tmp_path, capsys, monkeypatch):
     # The recorded SHA-256 of every bundled study's CSV and SVG, the corpus's
-    # bundled case, defines "same behaviour".  Both writers of the bundled
-    # outputs, the CLI and scripts/run_all_figures.py, must reproduce it.
+    # bundled case, defines "same behaviour".  Both entry points of the one
+    # writer, output.write_study, must reproduce it: the CLI and
+    # scripts/run_all_figures.py.
     reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["bundled"]
     assert len(reference) == 34
     for writer in (write_bundled_with_cli, write_bundled_with_script):
@@ -229,6 +230,16 @@ def test_bundled_studies_match_reference_digests(tmp_path, capsys, monkeypatch):
         writer(out, tmp_path, monkeypatch)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == reference, writer.__name__
+
+
+def test_script_without_svg_writes_the_bundled_csvs(tmp_path, capsys, monkeypatch):
+    reference = json.loads(REFERENCE_DIGESTS.read_text(encoding="utf-8"))["bundled"]
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_all_figures.py", "--out", str(out), "--no-svg"])
+    runpy.run_path(str(RUN_ALL_FIGURES), run_name="__main__")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert len(digests) == 17
+    assert digests == {name: d for name, d in reference.items() if name.endswith(".csv")}
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
@@ -243,6 +254,20 @@ def test_cli_failed_replace_leaves_no_temp_file(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "i/o error" in capsys.readouterr().err
     assert not list((tmp_path / "out").glob("*.tmp"))
+
+
+def test_io_error_keeps_the_files_written_before_it(tmp_path, capsys):
+    # Each file is atomic, the run is not: the files a run finished before an
+    # I/O error stay, and each was named by a "wrote" line.
+    cfg = write_config(tmp_path, "experiment = fig1a\nsweep_stop = 1\n")
+    out = tmp_path / "out"
+    (out / "fig1a_avg.csv").mkdir(parents=True)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--svg"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out / 'fig1a.csv'}\nwrote {out / 'fig1a.svg'}\n"
+    assert captured.err.startswith("i/o error: ")
+    assert (out / "fig1a.csv").is_file() and (out / "fig1a.svg").is_file()
+    assert not list(out.glob("*.tmp"))
 
 
 def test_config_with_a_byte_order_mark_runs(tmp_path):
@@ -441,17 +466,17 @@ def test_cli_run_calls_the_functions_set_on_the_module(tmp_path, monkeypatch):
         calls.append("parse_config")
         return real_parse(text)
 
-    def emit_svg(table, path):
-        calls.append("emit_svg")
-        return real_emit(table, path)
+    def write_study(tables, primary, svg):
+        calls.append("write_study")
+        return real_write(tables, primary, svg)
 
-    real_parse, real_emit = cli.parse_config, cli.emit_svg
+    real_parse, real_write = cli.parse_config, cli.write_study
     monkeypatch.setattr(cli, "parse_config", parse_config)
-    monkeypatch.setattr(cli, "emit_svg", emit_svg)
+    monkeypatch.setattr(cli, "write_study", write_study)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment = fig4\n", encoding="utf-8")
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--svg"]) == 0
-    assert calls == ["parse_config", "emit_svg"]
+    assert calls == ["parse_config", "write_study"]
     assert (tmp_path / "out" / "fig4.svg").is_file()
 
 

@@ -178,16 +178,19 @@ def test_graf_addition_theorem(n, x256, y256):
 def test_rescaled_rows_against_arbitrary_precision_oracle(n_max, x):
     # A small argument overflows the unnormalised descent: x = 1e-7 rescales
     # it twice and x = 1e-3 once, and every rescale must keep the row.  The
-    # other descents here start below order 60, too low to overflow.  Orders
-    # near and above a start (zero there) lose relative accuracy, and pass on
-    # the absolute 1e-12 that pytest.approx keeps beside rel.
+    # other descents here start below order 60, too low to overflow.  Every
+    # order is checked: those 20 or more below the start relative to the
+    # oracle, those nearer it (which lose relative accuracy) within the
+    # envelope test's 1e-15 absolute, and those above it are exactly zero.
     row = bessel_j_row(n_max, x)
-    for k in range(0, n_max + 1, max(1, n_max // 40)):
+    start = specfun._start(x)
+    for k in range(min(n_max, start) + 1):
         ref = bessel_mp(k, x)
-        if abs(ref) > 1e-280:
-            assert row[k] == pytest.approx(ref, rel=1e-12)
+        if k <= start - 20:
+            assert row[k] == pytest.approx(ref, rel=1e-12, abs=0)
         else:
-            assert abs(row[k]) <= 1e-280
+            assert abs(row[k] - ref) <= 1e-15
+    assert not row[start + 1:].any()
 
 
 ENVELOPE_ARGUMENTS = [0.0, 1e-300, 5e-9, math.nextafter(_SERIES_CUTOFF, 0.0), _SERIES_CUTOFF, 1e-5,
