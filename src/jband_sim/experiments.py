@@ -108,10 +108,10 @@ def sweep_grid(axis: SweepAxis) -> list[float]:
     """The inclusive grid of a sweep axis, as integers for N and M."""
     if not (math.isfinite(axis.step) and axis.step > 0):
         raise ValueError("sweep step must be > 0")
-    if not (axis.start < axis.stop):
-        raise ValueError("sweep start must be < stop")
     if not (math.isfinite(axis.start) and math.isfinite(axis.stop)):
         raise ValueError("sweep start and stop must be finite")
+    if not (axis.start < axis.stop):
+        raise ValueError("sweep start must be < stop")
     if axis.variable in INT_KEYS and (axis.start % 1 or axis.step % 1):
         raise ValueError(f"a sweep over {axis.variable} needs an integer start and step")
     # Compared as a float, so a quotient that overflows to inf is rejected

@@ -13,16 +13,20 @@ A descent for argument x starts at ``_start(x)``, a little above the Airy
 transition region past order x, whatever the orders asked for, so the row of
 any ``n_max`` at one x is a prefix of that x's one normalised history; its
 orders above the start are zero.  The recurrence has two implementations,
-which do the same float operations in the same order.  ``bessel_j``, and the
-one-point profile of ``propagator``, run it on Python floats, sum the squares
-for the norm with ``math.fsum`` and never load numpy.  ``bessel_j_rows``,
-which the sweeps take all their rows from, descends each distinct x of its
-``(n_max, x)`` keys once, stepping many descents together as the columns of
-numpy vectors; numpy's float64 rounds each operation as Python floats do.
-It sums the squares with numpy's ``dot``, and its rows equal
+which do the same float operations in the same order.  ``_descent`` runs it
+on Python floats and rescales the unnormalised values before they can
+overflow; ``bessel_j`` and the one-point profile of ``propagator`` sum its
+squares for the norm with ``math.fsum`` and never load numpy.
+``bessel_j_rows``, which the sweeps take all their rows from, descends each
+distinct x of its ``(n_max, x)`` keys once: below x = 0.1 with ``_descent``,
+at or above it many descents together as the columns of numpy vectors,
+whose float64 rounds each operation as Python floats do.  The batched
+descents never rescale: they peak at 10^81.6, 48 orders of magnitude under
+the limit.  It sums the squares with numpy's ``dot``, and its rows equal
 ``bessel_j_row``, its one-key case, bit for bit.  A ``bessel_j`` value lies
-within 2 ulp of the row's entry for that order.  ``bessel_j`` and
-``bessel_j_row`` check their key; ``bessel_j_rows`` takes checked keys.
+within 2 ulp of the row's entry for that order.  Below x = 1e-8 both take a
+two-term series.  ``bessel_j`` and ``bessel_j_row`` check their key;
+``bessel_j_rows`` takes checked keys.
 
 All functions are pure and keep no state between calls; every row returned is
 a new read-only array.  Callers that need one row for several points, such as
@@ -44,11 +48,17 @@ if TYPE_CHECKING:
 # J_n(x) falls off faster than exponentially in n; the margin keeps the
 # truncation contamination far below the 1e-10 accuracy target.
 _ORDER_MARGIN = 40
-# Rescale the unnormalised recurrence before its square can overflow.
+# The scalar descent rescales its unnormalised values before their squares overflow.
 _RESCALE_LIMIT = 1e130
 _RESCALE = 1e-130
 # Below this argument a two-term power series is exact to double precision.
 _SERIES_CUTOFF = 1e-8
+# Below this argument a row's history is the scalar descent's, which owns the
+# rescale; it is still normalised with np.dot (math.fsum's norm differs by an
+# ulp at about 1 x in 5 000 of (0.001, 0.1)).  At or above it the descent
+# peaks at 10^81.6 (at x = 0.1), far under ``_RESCALE_LIMIT``, so the batched
+# descent needs none; the largest argument whose descent rescales is ~0.004.
+_BATCH_CUTOFF = 0.1
 #: Envelope of the documented accuracy; larger orders or arguments are rejected.
 MAX_ORDER = 2000
 MAX_ARGUMENT = 1000.0
@@ -132,24 +142,25 @@ def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
     """``bessel_j_row(n_max, x)`` for each ``(n_max, x)`` of ``keys``, in order.
 
     The keys must have passed ``_check_row``, which is not run again.  Each
-    distinct ``x`` that takes the descent is descended once, by
-    ``_histories``, in order of first use; its history is normalised once
-    and kept only until the last key of that ``x`` has taken its row.  Each
-    row equals the one-key row bit for bit.
+    distinct ``x`` that takes the descent is descended once, in order of
+    first use: by the scalar ``_descent`` below ``_BATCH_CUTOFF``, else by
+    ``_histories``.  Its history is normalised once and kept only until the
+    last key of that ``x`` has taken its row.  Each row equals the one-key
+    row bit for bit.
     """
     import numpy as np
 
     keys = list(keys)
     # Each descended x, in order of first use, with the number of its keys still to come.
     pending = Counter(x for _, x in keys if x >= _SERIES_CUTOFF)
-    histories = _histories(list(pending))
+    histories = _histories([x for x in pending if x >= _BATCH_CUTOFF])
     held: dict[float, tuple[np.ndarray, float]] = {}
     for n_max, x in keys:
         if x < _SERIES_CUTOFF:
             row = np.array(_series_row(n_max, x))
         else:
             if x not in held:
-                f = next(histories)
+                f = next(histories) if x >= _BATCH_CUTOFF else np.array(_descent(x))
                 # np.dot, not math.fsum as in _fsum_row: on a 2-vCPU Xeon it
                 # normalises a 2 391-term row in 102 us against 252-287 us.
                 # f is contiguous: a strided dot would round differently.
@@ -174,7 +185,7 @@ def _coefficients(n: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _histories(xs: list[float]) -> Iterator[np.ndarray]:
-    """The unnormalised histories ``_descent(x)`` of the arguments ``xs``, in order, as arrays.
+    """The unnormalised histories ``_descent(x)`` of arguments ``xs >= _BATCH_CUTOFF``, in order.
 
     Consecutive arguments descend together as the columns of one batch, as
     many as fit ``_BATCH_FLOATS`` floats at the batch's longest start, and
@@ -182,15 +193,13 @@ def _histories(xs: list[float]) -> Iterator[np.ndarray]:
     with the scalar descent's operations, in place over row i of the batch's
     factor table: numpy rounds each elementwise operation as Python floats
     do and fuses none.  Past order 0 a column steps on with factor 0, which
-    keeps its values within the rescale limit.  A rescale at step i scales
-    the step's value in the table, and the column's history is then its
-    steps reversed, with every order above the step's scaled as the scalar
-    descent scales them.  The histories are yielded one at a time, each a
-    new contiguous array, while the table lives.
+    only negates values it already holds.  No column ever rescales (see
+    ``_BATCH_CUTOFF``), so its history is its steps reversed.  The histories
+    are yielded one at a time, each a new contiguous array, while the table
+    lives.
     """
     import numpy as np
 
-    limit = _RESCALE_LIMIT * _RESCALE_LIMIT
     end = 0
     while end < len(xs):
         batch: list[int] = []  # its columns' starts; a column of start s takes s - 1 steps
@@ -204,28 +213,16 @@ def _histories(xs: list[float]) -> Iterator[np.ndarray]:
             end += 1
         table = _coefficients(np.array(batch) - 1, np.array(xs[end - len(batch):end]), longest - 1)
         hi, lo = np.zeros(len(batch)), np.full(len(batch), 1e-30)
-        events: list[list[int]] = [[] for _ in batch]
         # Each row of factors becomes the values of its step.
-        for i, v in enumerate(table):
+        for v in table:
             np.multiply(v, lo, v)
             np.subtract(v, hi, v)
             hi, lo = lo, v
-            # No |v| passes the limit unless v . v does, and that costs one call.
-            if v.dot(v) >= limit:
-                hi = hi.copy()  # the previous step's values stay as computed
-                for p in (np.abs(v) > _RESCALE_LIMIT).nonzero()[0].tolist():
-                    v[p] *= _RESCALE
-                    hi[p] *= _RESCALE
-                    events[p].append(i)
         for p, s in enumerate(batch):
             # Orders ascending: the column's steps, reversed, then its seeds.
             f = np.empty(s + 1)
             f[s - 2::-1] = table[:s - 1, p]
             f[s - 1:] = 1e-30, 0.0
-            # The scalar descent rescales order n - 1 as it computes it, at
-            # n = s - 1 - i, and every order it holds by then, n up, with it.
-            for i in events[p]:
-                f[s - 1 - i:] *= _RESCALE
             yield f
         del table, hi, lo, v  # the table and its views, before the next batch builds its own
 

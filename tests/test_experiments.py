@@ -404,7 +404,7 @@ def test_each_bessel_row_is_computed_once(name, monkeypatch):
         descents = counting_descents(monkeypatch)
         run_experiment_outputs(ExperimentSpec(name))
         assert sorted(keys) == sorted(expected), cap
-        assert descents == [list(dict.fromkeys(x for _, x in keys if x >= specfun._SERIES_CUTOFF))], cap
+        assert descents == [list(dict.fromkeys(x for _, x in keys if x >= specfun._BATCH_CUTOFF))], cap
 
 
 def test_each_entropy_point_is_checked_once(monkeypatch):

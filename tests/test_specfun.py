@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jband_sim import propagator, specfun
 from jband_sim.experiments import EXPERIMENTS, ExperimentSpec, SweepAxis, run_experiment_outputs
 from jband_sim.specfun import (
+    _BATCH_CUTOFF,
     _ORDER_MARGIN,
     _SERIES_CUTOFF,
     MAX_ARGUMENT,
@@ -115,8 +116,8 @@ def test_magnitude_bound(n, x):
 
 def test_row_consistent_with_scalar():
     # Both run one descent; bessel_j sums the squares for the norm with
-    # math.fsum, the row with numpy's dot.  Orders 500-2000 at x <= 3 rescale
-    # the descent, and x <= 1e-9 takes the series path, where both agree exactly.
+    # math.fsum, the row with numpy's dot.  x = 1e-3 rescales the descent,
+    # and x <= 1e-9 takes the series path, where both agree exactly.
     for n in (0, 1, -7, 17, 40, 50, -151, 500, 753, 1000, 2000):
         for x in (0.0, 1e-9, 1e-3, 0.5, 3.0, 37.3, 269.57, 477.5155, 999.9):
             expected = float(bessel_j_row(abs(n), x)[abs(n)]) * (-1 if n < 0 and n % 2 else 1)
@@ -194,7 +195,8 @@ def test_rescaled_rows_against_arbitrary_precision_oracle(n_max, x):
 
 
 ENVELOPE_ARGUMENTS = [0.0, 1e-300, 5e-9, math.nextafter(_SERIES_CUTOFF, 0.0), _SERIES_CUTOFF, 1e-5,
-                      0.02, 0.5, 3.0, 11.0846, 37.3, 150.0, 477.5155, 750.0, 998.5, MAX_ARGUMENT]
+                      0.02, math.nextafter(_BATCH_CUTOFF, 0.0), _BATCH_CUTOFF, 0.5, 3.0, 11.0846, 37.3,
+                      150.0, 477.5155, 750.0, 998.5, MAX_ARGUMENT]
 
 
 def test_rows_against_the_oracle_over_the_envelope():
@@ -247,7 +249,8 @@ def assert_rows_bit_exact(keys):
 
 
 ARGUMENTS = st.one_of(
-    st.sampled_from([0.0, math.nextafter(_SERIES_CUTOFF, 0.0), _SERIES_CUTOFF, MAX_ARGUMENT]),
+    st.sampled_from([0.0, math.nextafter(_SERIES_CUTOFF, 0.0), _SERIES_CUTOFF,
+                     math.nextafter(_BATCH_CUTOFF, 0.0), _BATCH_CUTOFF, MAX_ARGUMENT]),
     st.floats(min_value=-8.0, max_value=3.0).map(lambda e: min(10.0 ** e, MAX_ARGUMENT)),
 )
 
@@ -258,8 +261,11 @@ ARGUMENTS = st.one_of(
 @settings(deadline=None, max_examples=40)
 @example([(7, 2.5)])
 @example([(0, 0.0), (0, _SERIES_CUTOFF), (0, MAX_ARGUMENT)])
-# Small arguments at large orders rescale the descent many times.
+# Small arguments at large orders, which take the scalar descent, beside
+# batched ones; x = 1e-7 rescales the descent twice.
 @example([(2000, 1e-8), (2000, 3.0), (1500, 1e-7), (2000, 1e-8), (300, 0.01), (2000, 1000.0)])
+# Either side of the batch cutoff, below which the scalar descent takes over.
+@example([(2000, math.nextafter(0.1, 0)), (2000, 0.1)])
 # Keys of one x share its descent (start 55 at x = 2), below and above its start.
 @example([(n, 2.0) for n in range(0, 100, 3)])
 def test_batched_rows_equal_the_scalar_descent(keys):
@@ -282,10 +288,10 @@ def test_rows_of_one_argument_are_prefixes_of_each_other(n, m, x):
 @pytest.mark.parametrize("columns,steps", [(1, 8), (3, 16), (7, 32), (5, _ORDER_MARGIN),
                                            (4, 100), (3, 200)])
 def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, monkeypatch):
-    # A float budget of `columns` columns of `steps` steps.  Below the
-    # shortest descent's 40 steps every batch has one column; above it,
-    # batches of several columns whose starts differ, and columns that step
-    # on past order 0 while a longer one finishes.
+    # A float budget of `columns` columns of `steps` steps.  Under two
+    # columns of the shortest batched descent's 44 steps every batch has one
+    # column; above that, batches of several columns whose starts differ, and
+    # columns that step on past order 0 while a longer one finishes.
     monkeypatch.setattr(specfun, "_BATCH_FLOATS", columns * steps)
     rng = random.Random(columns)
     keys = [(rng.randint(0, MAX_ORDER), min(10.0 ** rng.uniform(-9.0, 3.0), MAX_ARGUMENT))
@@ -293,13 +299,39 @@ def test_batched_rows_do_not_depend_on_the_batch_constants(columns, steps, monke
     assert_rows_bit_exact(keys + [(MAX_ORDER, MAX_ARGUMENT), (0, 1e-8), keys[3]])
 
 
+def bracket_floors():
+    """``_BATCH_CUTOFF`` and the smallest x of each higher ``_start`` up to ``MAX_ARGUMENT``."""
+    xs = [_BATCH_CUTOFF]
+    for k in range(specfun._start(_BATCH_CUTOFF) + 1, specfun._start(MAX_ARGUMENT) + 1):
+        lo, hi = xs[-1], MAX_ARGUMENT  # _start(lo) < k <= _start(hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if specfun._start(mid) >= k else (mid, hi)
+        xs.append(hi)
+    return xs
+
+
+def test_batched_descents_stay_far_from_the_rescale_limit():
+    # The batched descent has no rescale, so every descent it takes must stay
+    # finite and far under _RESCALE_LIMIT = 1e130.  A descent of start s
+    # peaks near 1e-30 max|J_n(x)| / J_{s-1}(x), and J_{s-1}(x) grows with x
+    # below the turning point, so in each _start bracket its smallest x peaks
+    # highest.  The largest peak, 10^81.6 at x = 0.1, is 48 orders under the
+    # limit; the test asks for 30.
+    xs = bracket_floors()
+    assert len(xs) == specfun._start(MAX_ARGUMENT) - specfun._start(_BATCH_CUTOFF) + 1
+    for x, f in zip(xs, specfun._histories(xs), strict=True):
+        assert np.isfinite(f).all(), x
+        assert np.abs(f).max() < 1e100, x
+
+
 def test_batch_constants_fit_every_descent():
     # Rows are exact at any budget; it bounds the work.  A descent from start
-    # s takes s - 1 steps.  The shortest starts at 41 and the longest, at the
-    # largest argument, at 1 140 (3 540 when the start followed n_max); the
-    # budget holds 57 columns of the longest, so no default batch exceeds it
-    # and the longest descents still step many columns together.
-    assert specfun._start(_SERIES_CUTOFF) == _ORDER_MARGIN + 1
+    # s takes s - 1 steps.  The shortest batched one starts at 45 and the
+    # longest, at the largest argument, at 1 140 (3 540 when the start
+    # followed n_max); the budget holds 57 columns of the longest, so no
+    # default batch exceeds it and the longest descents still step many
+    # columns together.
+    assert specfun._start(_BATCH_CUTOFF) == _ORDER_MARGIN + 5
     longest = specfun._start(MAX_ARGUMENT)
     assert longest == 1140
     assert specfun._BATCH_FLOATS // (longest - 1) == 57
@@ -367,7 +399,7 @@ def test_batch_tables_fit_the_float_budget(monkeypatch):
             tables.clear()
             list(bessel_j_rows(keys))
             assert [s for _, starts in tables for s in starts] == \
-                [specfun._start(x) for x in dict.fromkeys(x for _, x in keys if x >= _SERIES_CUTOFF)]
+                [specfun._start(x) for x in dict.fromkeys(x for _, x in keys if x >= _BATCH_CUTOFF)]
             for k, (steps, starts) in enumerate(tables):
                 assert starts and steps == max(starts) - 1
                 assert len(starts) == 1 or len(starts) * steps <= budget
