@@ -155,6 +155,8 @@ class AggregateDensityMatrix:
             raise ValueError("entries must not be empty")
         if np.any(m < 0):
             raise ValueError("coherence magnitudes must be nonnegative")
+        if not np.isfinite(m).all():
+            raise ValueError("coherence magnitudes must be finite")
         if not np.array_equal(m, m.T):
             raise ValueError("coherence magnitudes must be symmetric")
         if float(np.trace(m)) > 1.0 + OCCUPATION_SUM_EPS:

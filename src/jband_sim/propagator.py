@@ -14,7 +14,7 @@ Temperature does not enter the propagator.
 ``_check_point`` checks a point and returns its profile inputs: N, c t,
 exp(-a^2) and exp(-b^2 t).  A sweep evaluates them in blocks, the profiles
 of consecutive points of one N, ordered by c t, as the rows of one array;
-one batched call per sweep yields their Bessel rows, once per N and c t,
+one batched call per sweep yields their Bessel rows, one key per point,
 from one descent per c t, and a point's values do not depend on the
 blocking.  ``occupation_profile`` builds one profile from the same inputs as
 Python floats and never loads numpy; it agrees with the block path to about
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import (OCCUPATION_SUM_EPS, ModelParams, OccupationProfile, check_finite, check_finite_fields,
                    check_time, make_window)
-from .specfun import MAX_ORDER, _check_row, _fsum_row, bessel_j, bessel_j_rows
+from .specfun import MAX_ARGUMENT, MAX_ORDER, _fsum_row, bessel_j, bessel_j_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,8 +92,9 @@ def _check_point(t: float, p: ModelParams) -> tuple[int, float, float, float]:
     if p.N // 2 > MAX_ORDER:
         raise ValueError(f"N must be <= {2 * MAX_ORDER + 1}, the largest window "
                          "inside the Bessel order envelope")
-    _, x = _check_row(p.N // 2, p.c * t)
-    return p.N, x, math.exp(-p.a * p.a), math.exp(-p.b * p.b * t)
+    if not p.c * t <= MAX_ARGUMENT:  # also an overflow to inf
+        raise ValueError(f"c t must be <= {MAX_ARGUMENT:g}")
+    return p.N, p.c * t, math.exp(-p.a * p.a), math.exp(-p.b * p.b * t)
 
 
 def _occupation_blocks(points: Sequence[tuple[int, float, float, float]]) -> Iterator[np.ndarray]:
@@ -101,34 +102,29 @@ def _occupation_blocks(points: Sequence[tuple[int, float, float, float]]) -> Ite
 
     Each block holds the profiles of the next points of one ``N``, at most
     ``_BLOCK_ELEMENTS // N`` of them (at least one), one per row.  One batched
-    call yields the Bessel rows of all the points, once per ``N`` and
-    ``c t``, as the blocks consume them; a row is carried into the next block
-    where a run of equal ``c t`` crosses into it.  A block is C-ordered, so a
-    sum along its last axis adds a row's entries alike whatever block holds
-    it: a sweep's values do not depend on its blocking.
+    call yields the Bessel rows of all the points, one key per point, as the
+    blocks consume them.  A block is C-ordered, so a sum along its last axis
+    adds a row's entries alike whatever block holds it: a sweep's values do
+    not depend on its blocking.
     """
     import numpy as np
 
-    runs = [list(run) for _, run in groupby(points, key=lambda point: point[0])]
-    table = bessel_j_rows([(run[0][0] // 2, x)
-                           for run in runs for x in dict.fromkeys(point[1] for point in run)])
-    for run in runs:
-        N = run[0][0]
+    table = bessel_j_rows([(N // 2, x) for N, x, _, _ in points])
+    for N, run in groupby(points, key=lambda point: point[0]):
+        run = list(run)
         step = max(1, _BLOCK_ELEMENTS // N)
         window = np.abs(np.asarray(make_window(N)))
-        rows: dict[float, np.ndarray] = {}
         for lo in range(0, len(run), step):
             _, xs, dressing, decay = zip(*run[lo:lo + step])
-            rows = {x: rows[x] if x in rows else next(table) for x in dict.fromkeys(xs)}
-            # np.take keeps C order, where rows[:, window] would give a Fortran-ordered block.
-            j = np.take(np.array([rows[x] for x in xs]), window, axis=1)
+            # np.take keeps C order, where indexing [:, window] would give a Fortran-ordered block.
+            j = np.take(np.array([next(table) for _ in xs]), window, axis=1)
             # Grouping keeps the a-dependence an exact scalar factor of each row.
             u = np.array(dressing)[:, None] * ((j * j) * np.array(decay)[:, None])
             if not ((u >= 0) & (u <= 1)).all():  # NaN fails both comparisons
                 raise ValueError("occupation probabilities must lie in [0, 1]")
             if (u.sum(axis=1) > 1.0 + OCCUPATION_SUM_EPS).any():
                 raise ValueError("total occupation probability exceeds unity")
-            del j  # while the block is consumed, only it and the rows the next may share stay
+            del j  # while the block is consumed, only it and the histories later keys share stay
             yield u
 
 

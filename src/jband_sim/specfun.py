@@ -29,9 +29,8 @@ two-term series.  ``bessel_j`` and ``bessel_j_row`` check their key;
 ``bessel_j_rows`` takes checked keys.
 
 All functions are pure and keep no state between calls; every row returned is
-a new read-only array.  Callers that need one row for several points, such as
-curves that differ only in the dressing ``a`` or the decoherence ``b``, ask
-for it once and share it themselves.
+read-only.  The rows of one x from one ``bessel_j_rows`` call view its one
+history, so callers ask for one key per point and share nothing themselves.
 """
 from __future__ import annotations
 
@@ -141,12 +140,14 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
 def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
     """``bessel_j_row(n_max, x)`` for each ``(n_max, x)`` of ``keys``, in order.
 
-    The keys must have passed ``_check_row``, which is not run again.  Each
-    distinct ``x`` that takes the descent is descended once, in order of
-    first use: by the scalar ``_descent`` below ``_BATCH_CUTOFF``, else by
-    ``_histories``.  Its history is normalised once and kept only until the
-    last key of that ``x`` has taken its row.  Each row equals the one-key
-    row bit for bit.
+    The keys must lie in the envelope ``_check_row`` checks, which is not
+    run again.  Each distinct ``x`` that takes the descent is descended
+    once, in order of first use: by the scalar ``_descent`` below
+    ``_BATCH_CUTOFF``, else by ``_histories``.  Its history is normalised
+    once, in place, made read-only and kept until the last key of that
+    ``x`` has taken its row: the view of its first ``n_max + 1`` orders,
+    or a zero-padded copy where ``n_max`` reaches past the start.  Each
+    row equals the one-key row bit for bit.
     """
     import numpy as np
 
@@ -154,7 +155,7 @@ def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
     # Each descended x, in order of first use, with the number of its keys still to come.
     pending = Counter(x for _, x in keys if x >= _SERIES_CUTOFF)
     histories = _histories([x for x in pending if x >= _BATCH_CUTOFF])
-    held: dict[float, tuple[np.ndarray, float]] = {}
+    held: dict[float, np.ndarray] = {}
     for n_max, x in keys:
         if x < _SERIES_CUTOFF:
             row = np.array(_series_row(n_max, x))
@@ -164,13 +165,13 @@ def bessel_j_rows(keys: Iterable[tuple[int, float]]) -> Iterator[np.ndarray]:
                 # np.dot, not math.fsum as in _fsum_row: on a 2-vCPU Xeon it
                 # normalises a 2 391-term row in 102 us against 252-287 us.
                 # f is contiguous: a strided dot would round differently.
-                held[x] = f, math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:])))
+                np.divide(f, math.sqrt(f[0] * f[0] + 2.0 * float(np.dot(f[1:], f[1:]))), out=f)
+                f.setflags(write=False)
+                held[x] = f
             pending[x] -= 1
-            f, norm = held[x] if pending[x] else held.pop(x)
+            f = held[x] if pending[x] else held.pop(x)
             # Orders above the start are zero.
-            row = np.zeros(n_max + 1)
-            m = min(n_max + 1, len(f))
-            np.divide(f[:m], norm, out=row[:m])
+            row = f[:n_max + 1] if n_max < len(f) else np.concatenate((f, np.zeros(n_max + 1 - len(f))))
         row.setflags(write=False)
         yield row
 

@@ -156,6 +156,13 @@ def test_density_matrix_rejects_asymmetry():
         AggregateDensityMatrix(entries=np.array([[0.5, 0.2], [0.1, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    # Checked before symmetry: a NaN is never equal to itself.
+    with pytest.raises(ValueError, match="coherence magnitudes must be finite"):
+        AggregateDensityMatrix(entries=np.array([[0.5, bad], [bad, 0.5]]))
+
+
 def test_density_matrix_rejects_excess_trace():
     with pytest.raises(ValueError):
         AggregateDensityMatrix(entries=np.array([[0.8, 0.0], [0.0, 0.4]]))

@@ -20,6 +20,8 @@ from jband_sim.measures import _site_entropies, extended_state_entropy
 from jband_sim.output import render_csv
 from jband_sim.specfun import bessel_j_row, bessel_j_rows
 
+from test_specfun import study_keys
+
 PLATEAU = 2.0 - math.log(2.0)
 
 
@@ -360,19 +362,6 @@ def test_entropy_sweep_equals_point_by_point(spec, monkeypatch):
         assert {suffix: list(table.rows) for suffix, table in tables.items()} == expected, cap
 
 
-def counting_rows(monkeypatch):
-    """The keys the sweeps hand to the batched descent, as they hand them."""
-    keys = []
-
-    def rows(requested):
-        requested = list(requested)
-        keys.extend(requested)
-        return bessel_j_rows(requested)
-
-    monkeypatch.setattr(propagator, "bessel_j_rows", rows)
-    return keys
-
-
 def counting_descents(monkeypatch):
     """The arguments of each batched call's descents, one list per call, as they are descended."""
     calls, histories = [], specfun._histories
@@ -389,35 +378,39 @@ def counting_descents(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(n for n, d in EXPERIMENTS.items() if d.kind == "entropy"))
 def test_each_bessel_row_is_computed_once(name, monkeypatch):
-    # Points that share N // 2 and c t share one row, even where a block of
-    # the sweep ends inside their run: at one row per block, every run does.
-    # The sweep's one batched call descends each distinct c t once, in order
-    # of first use, whatever the N of its keys.
+    # The sweep's one batched call takes one key per point, in (N, c t) order,
+    # whatever its blocking, and descends each distinct c t once, in order of
+    # first use, whatever the N of its keys: the rows of one c t are views of
+    # its one history.
     plan = resolve(ExperimentSpec(name))
     var = plan.sweep.variable
-    expected = {(int(v["N"]) // 2, float(v["c"]) * float(v["t"]))
-                for v in ({**plan.base, **curve, var: x}
-                          for x in sweep_grid(plan.sweep) for curve in plan.curves)}
+    expected = [(N // 2, x) for N, x in sorted(
+        (int(v["N"]), float(v["c"]) * float(v["t"]))
+        for v in ({**plan.base, **curve, var: x} for x in sweep_grid(plan.sweep) for curve in plan.curves))]
     for cap in (propagator._BLOCK_ELEMENTS, 1):
         monkeypatch.setattr(propagator, "_BLOCK_ELEMENTS", cap)
-        keys = counting_rows(monkeypatch)
         descents = counting_descents(monkeypatch)
-        run_experiment_outputs(ExperimentSpec(name))
-        assert sorted(keys) == sorted(expected), cap
+        [keys] = study_keys([ExperimentSpec(name)], monkeypatch)
+        assert keys == expected, cap
         assert descents == [list(dict.fromkeys(x for _, x in keys if x >= specfun._BATCH_CUTOFF))], cap
+    first = {}
+    for (n_max, x), row in zip(keys, bessel_j_rows(keys)):
+        if x >= specfun._SERIES_CUTOFF and n_max <= specfun._start(x):
+            assert np.shares_memory(row, first.setdefault(x, row)), x
 
 
 def test_each_entropy_point_is_checked_once(monkeypatch):
-    # One Bessel key check per entropy point of the ten bundled studies: the
-    # batched descent takes the keys as _check_point passed them.
-    calls, check = [], specfun._check_row
+    # One check per entropy point of the ten bundled studies, and no Bessel
+    # key check: the batched descent takes the keys of the points as checked.
+    calls, check_point = [], propagator._check_point
 
-    def check_row(n_max, x):
-        calls.append((n_max, x))
-        return check(n_max, x)
+    def counted(t, p):
+        calls.append((t, p))
+        return check_point(t, p)
 
-    monkeypatch.setattr(specfun, "_check_row", check_row)
-    monkeypatch.setattr(propagator, "_check_row", check_row)
+    monkeypatch.setattr(specfun, "_check_row", lambda *key: pytest.fail(f"key {key} checked again"))
+    monkeypatch.setattr(experiments, "_check_point", counted)
+    monkeypatch.setattr(propagator, "_check_point", counted)
     points = 0
     for name in sorted(EXPERIMENTS.keys() - {"custom"}):
         plan = resolve(ExperimentSpec(name))
@@ -431,7 +424,7 @@ def test_each_entropy_point_is_checked_once(monkeypatch):
 def test_a_run_of_equal_ct_is_cut_into_capped_blocks(var, monkeypatch):
     # Every point of an a or b sweep shares c t, so the whole sweep is one run;
     # it must still be evaluated in blocks of at most the capped size, from
-    # one Bessel row.
+    # one descent.
     params, axis = EQUIVALENCE_SWEEPS[var]
     spec = ExperimentSpec("custom", {**params, "N": 201}, axis)
     monkeypatch.setattr(propagator, "_BLOCK_ELEMENTS", 5 * 201)
@@ -439,7 +432,8 @@ def test_a_run_of_equal_ct_is_cut_into_capped_blocks(var, monkeypatch):
     monkeypatch.setattr(experiments, "_occupation_blocks",
                         lambda points: (sizes.append(len(u)) or u
                                         for u in propagator._occupation_blocks(points)))
-    keys = counting_rows(monkeypatch)
-    run_experiment_outputs(spec)
+    descents = counting_descents(monkeypatch)
+    [keys] = study_keys([spec], monkeypatch)
     assert sizes == [5, 5, 5, 5, 3]
-    assert len(keys) == 1
+    assert len({x for _, x in keys}) == 1
+    assert descents == [[keys[0][1]]]

@@ -163,9 +163,10 @@ def test_sweep_working_memory_is_bounded():
     # takes: 300 points up to c t = 150, and 2 000 up to the largest argument.
     # The batched descent's step table holds at most _BATCH_FLOATS floats.
     # Eight arrays of N floats hold a block at N = 4001, its temporaries, the
-    # rows it takes and the one history (at most 1 141 floats) being
-    # normalised.  The rest grows with the sweep: about 160 B per point for
-    # its key and the descent's count of the keys still to take each c t.
+    # rows it takes (zero-padded copies: 2 001 orders reach past every start)
+    # and the one history (at most 1 141 floats) being normalised.  The rest
+    # grows with the sweep: about 160 B per point for its key, one per point,
+    # and the descent's count of the keys still to take each c t.
     # Rows kept for the whole sweep would take 32 MB; the bound stays below
     # the 1 169 472 B that the checkpoint/replay kernel before this one needed.
     N = 4001
